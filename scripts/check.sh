@@ -14,7 +14,11 @@
 # elastic grow/shrink paths, the trace-driven arrival generators, the
 # measurement audits (coordinated omission / warm-up), and the
 # continuous batcher's decode loop (lock-free admission ring, threaded
-# churn, lane routing) with the streaming TokenStream scenario.
+# churn, lane routing) with the streaming TokenStream scenario, and
+# demand dispatch with the per-worker CPU budget (concurrent producers
+# against window-0 batchers, workers bound to their intra-op share).
+# The AddressSanitizer build also runs UndefinedBehaviorSanitizer and
+# fails on its first report.
 #
 # `scripts/check.sh tier1` is the fast feedback path instead: a plain
 # build plus `ctest -L tier1`, skipping the expensive model and
@@ -35,7 +39,7 @@ command -v ninja > /dev/null 2>&1 && GENERATOR="-G Ninja"
 run_suite() {
     build_dir="$1"
     ctest --test-dir "$build_dir" --output-on-failure \
-          -R 'BoundedQueue|DynamicBatcher|ThreadWorkerPool|EventWorkerPool|ServingSut|HarnessServing|ProfileBatchInference|CircuitBreaker|AdmissionController|ResilientInference|CompletionTracker|FaultInjecting|LoadGen|Scenario|Server|Offline|RealExecutor|VirtualExecutor|Logging|ThreadPool|ScratchArena|GemmParallel|ConvParallel|GemmInt8|GemmPrepacked|Int8Prepacked|CompiledModel|ModelGraph|MemoryPlanner|ModelRegistry|DagPipeline|ServingPlatform|TenantSut|MultiTenantServing|MpscRing|ShardRouting|ShardedWorkerPool|ServingSutSharded|ShardedPlatform|ServingStats|BoundedQueuePopFor|ConvDirect|NchwcLayout|LayoutPropagation|Ewma|HysteresisLatch|ShardAutoscaler|ElasticShards|AutoscaledServingSut|TraceArrivals|BurstyArrivalProperties|MeasurementAudit|ParseRecordedTrace|ContinuousBatcher|DecoderEngine|DecoderModel|DecodeStatePool|TokenStream'
+          -R 'BoundedQueue|DynamicBatcher|ThreadWorkerPool|EventWorkerPool|ServingSut|HarnessServing|ProfileBatchInference|CircuitBreaker|AdmissionController|ResilientInference|CompletionTracker|FaultInjecting|LoadGen|Scenario|Server|Offline|RealExecutor|VirtualExecutor|Logging|ThreadPool|ScratchArena|GemmParallel|ConvParallel|GemmInt8|GemmPrepacked|Int8Prepacked|CompiledModel|ModelGraph|MemoryPlanner|ModelRegistry|DagPipeline|ServingPlatform|TenantSut|MultiTenantServing|MpscRing|ShardRouting|ShardedWorkerPool|ServingSutSharded|ShardedPlatform|ServingStats|BoundedQueuePopFor|ConvDirect|NchwcLayout|LayoutPropagation|Ewma|HysteresisLatch|ShardAutoscaler|ElasticShards|AutoscaledServingSut|TraceArrivals|BurstyArrivalProperties|MeasurementAudit|ParseRecordedTrace|ContinuousBatcher|DecoderEngine|DecoderModel|DecodeStatePool|TokenStream|DemandDispatch|DemandQueue|CpuBudget|IntraOpBinding'
 }
 
 if [ "$MODE" = "tier1" ]; then
@@ -55,19 +59,19 @@ if [ "$MODE" = "tsan" ] || [ "$MODE" = "all" ]; then
           -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread"
     cmake --build build-tsan --target \
           test_serving test_shard test_resilience test_tenancy test_loadgen test_audit test_sim test_common \
-          test_tensor test_quant test_nn test_decode
+          test_tensor test_quant test_nn test_decode test_demand
     TSAN_OPTIONS="halt_on_error=1" run_suite build-tsan
 fi
 
 if [ "$MODE" = "asan" ] || [ "$MODE" = "all" ]; then
-    echo "==> AddressSanitizer build"
+    echo "==> AddressSanitizer + UndefinedBehaviorSanitizer build"
     cmake -B build-asan $GENERATOR \
           -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-          -DCMAKE_CXX_FLAGS="-fsanitize=address -fno-omit-frame-pointer" \
-          -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address"
+          -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=undefined -fno-omit-frame-pointer" \
+          -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined"
     cmake --build build-asan --target \
           test_serving test_shard test_resilience test_tenancy test_loadgen test_audit test_sim test_common \
-          test_tensor test_quant test_nn test_decode
+          test_tensor test_quant test_nn test_decode test_demand
     run_suite build-asan
 fi
 

@@ -3,11 +3,14 @@
 #include <algorithm>
 #include <cstdlib>
 
+#include "common/lock_probe.h"
+
 namespace mlperf {
 
 namespace {
 
 thread_local bool t_in_worker = false;
+thread_local ThreadPool *t_bound = nullptr;
 
 int
 defaultThreadCount()
@@ -55,6 +58,7 @@ ThreadPool::ThreadPool(int threads)
 ThreadPool::~ThreadPool()
 {
     {
+        LockProbe::noteAcquire();
         std::lock_guard<std::mutex> lock(mutex_);
         stop_ = true;
     }
@@ -67,6 +71,12 @@ bool
 ThreadPool::inWorker()
 {
     return t_in_worker;
+}
+
+ThreadPool *
+ThreadPool::bound()
+{
+    return t_bound;
 }
 
 void
@@ -84,6 +94,7 @@ ThreadPool::runChunks(const std::shared_ptr<Job> &job)
         job->fn(b, e);
         if (job->completed.fetch_add(1, std::memory_order_acq_rel) + 1 ==
             job->chunkCount) {
+            LockProbe::noteAcquire();
             std::lock_guard<std::mutex> lock(job->doneMutex);
             job->doneCv.notify_all();
         }
@@ -98,6 +109,7 @@ ThreadPool::workerLoop()
     for (;;) {
         std::shared_ptr<Job> job;
         {
+            LockProbe::noteAcquire();
             std::unique_lock<std::mutex> lock(mutex_);
             cv_.wait(lock, [&] {
                 return stop_ || epoch_ != seen_epoch;
@@ -138,8 +150,10 @@ ThreadPool::parallelFor(int64_t begin, int64_t end, int64_t min_grain,
     job->grain = grain;
     job->chunkCount = (n + grain - 1) / grain;
 
+    LockProbe::noteAcquire();
     std::lock_guard<std::mutex> run_lock(runMutex_);
     {
+        LockProbe::noteAcquire();
         std::lock_guard<std::mutex> lock(mutex_);
         job_ = job;
         ++epoch_;
@@ -149,6 +163,7 @@ ThreadPool::parallelFor(int64_t begin, int64_t end, int64_t min_grain,
     runChunks(job);  // the caller is a worker too
 
     {
+        LockProbe::noteAcquire();
         std::unique_lock<std::mutex> lock(job->doneMutex);
         job->doneCv.wait(lock, [&] {
             return job->completed.load(std::memory_order_acquire) ==
@@ -156,6 +171,7 @@ ThreadPool::parallelFor(int64_t begin, int64_t end, int64_t min_grain,
         });
     }
     {
+        LockProbe::noteAcquire();
         std::lock_guard<std::mutex> lock(mutex_);
         job_.reset();
     }
@@ -176,6 +192,31 @@ ThreadPool::setGlobalThreads(int threads)
     auto pool = std::make_shared<ThreadPool>(threads);
     std::lock_guard<std::mutex> lock(g_pool_mutex);
     g_pool = std::move(pool);
+}
+
+int
+ThreadPool::budgetShare(int64_t workers)
+{
+    // The global pool's size, without spawning its threads when no
+    // unbound caller has needed it yet.
+    int64_t budget = 0;
+    {
+        std::lock_guard<std::mutex> lock(g_pool_mutex);
+        budget = g_pool ? g_pool->threadCount() : defaultThreadCount();
+    }
+    return static_cast<int>(
+        std::max<int64_t>(1, budget / std::max<int64_t>(1, workers)));
+}
+
+IntraOpBinding::IntraOpBinding(int width)
+    : pool_(width), previous_(t_bound)
+{
+    t_bound = &pool_;
+}
+
+IntraOpBinding::~IntraOpBinding()
+{
+    t_bound = previous_;
 }
 
 } // namespace mlperf

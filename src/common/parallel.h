@@ -1,6 +1,6 @@
 /**
  * @file
- * Shared intra-op thread pool.
+ * Intra-op thread pools.
  *
  * One process-wide pool parallelizes the compute kernels: GEMM over
  * M panels, conv2d over the batch dimension, and any future data-
@@ -8,9 +8,17 @@
  * every chunk has run — and re-entrant calls from inside a worker
  * execute inline, so kernels can nest (conv2d parallelizes the batch,
  * the GEMM it calls stays serial on that worker) without
- * oversubscribing cores. The serving runtime's workers get the same
- * behaviour for free: model forwards they run use the pool only when
- * called from a non-pool thread.
+ * oversubscribing cores.
+ *
+ * One CPU budget: the global pool's size B is the budget for the
+ * whole process. A thread that runs kernels concurrently with others
+ * — a serving worker — binds its own share with IntraOpBinding:
+ * W workers each get w = max(1, B / W) threads (ThreadPool::
+ * budgetShare), so W x w <= B while W <= B. parallelFor uses the
+ * calling thread's binding before it falls back to the global pool:
+ * at w = 1 the worker runs kernels inline, at w > 1 on a private
+ * fork-join pool of width w. Concurrent workers therefore never queue
+ * on one pool's job lock.
  *
  * Pool size comes from MLPERF_INTRAOP_THREADS, defaulting to the
  * hardware concurrency; tests and SUTs may override it with
@@ -60,8 +68,25 @@ class ThreadPool
     /** True on a thread currently executing pool work. */
     static bool inWorker();
 
-    /** Process-wide pool (created on first use). */
+    /**
+     * The calling thread's IntraOpBinding pool, or null when the
+     * thread is unbound and parallelFor uses global().
+     */
+    static ThreadPool *bound();
+
+    /**
+     * Process-wide pool (created on first use). Its lookup lock is
+     * the one pool lock LockProbe does not count.
+     */
     static std::shared_ptr<ThreadPool> global();
+
+    /**
+     * Intra-op width of each of @p workers threads that run kernels
+     * concurrently within the global pool's budget B:
+     * max(1, B / workers), so workers x width <= B whenever
+     * workers <= B.
+     */
+    static int budgetShare(int64_t workers);
 
     /** Replace the global pool; callers must be quiescent. */
     static void setGlobalThreads(int threads);
@@ -83,12 +108,35 @@ class ThreadPool
 };
 
 /**
- * parallelFor on the global pool. A template so that ranges which run
- * inline (single-thread pool, nested call from a worker, or range no
- * larger than one grain) invoke the callable directly without the
- * std::function type-erasure heap allocation — the compiled-plan
- * executor relies on this for its zero-allocations-per-query
- * steady state.
+ * Binds the constructing thread to a private fork-join pool of
+ * @p width threads (the caller included) until destruction:
+ * parallelFor on that thread runs on this pool instead of the global
+ * one, inline at width 1. Construct and destroy it on the thread it
+ * binds; bindings nest.
+ */
+class IntraOpBinding
+{
+  public:
+    explicit IntraOpBinding(int width);
+    ~IntraOpBinding();
+
+    IntraOpBinding(const IntraOpBinding &) = delete;
+    IntraOpBinding &operator=(const IntraOpBinding &) = delete;
+
+    int width() const { return pool_.threadCount(); }
+
+  private:
+    ThreadPool pool_;
+    ThreadPool *previous_;
+};
+
+/**
+ * parallelFor on the calling thread's bound pool, else the global
+ * pool. A template so that ranges which run inline (width-1 pool,
+ * nested call from a worker, or range no larger than one grain)
+ * invoke the callable directly without the std::function
+ * type-erasure heap allocation — the compiled-plan executor relies on
+ * this for its zero-allocations-per-query steady state.
  */
 template <typename Fn>
 inline void
@@ -96,9 +144,18 @@ parallelFor(int64_t begin, int64_t end, int64_t min_grain, Fn &&fn)
 {
     if (end <= begin)
         return;
-    const std::shared_ptr<ThreadPool> pool = ThreadPool::global();
-    if (pool->threadCount() <= 1 || ThreadPool::inWorker() ||
+    if (ThreadPool::inWorker() ||
         end - begin <= std::max<int64_t>(min_grain, 1)) {
+        fn(begin, end);
+        return;
+    }
+    std::shared_ptr<ThreadPool> global;
+    ThreadPool *pool = ThreadPool::bound();
+    if (pool == nullptr) {
+        global = ThreadPool::global();
+        pool = global.get();
+    }
+    if (pool->threadCount() <= 1) {
         fn(begin, end);
         return;
     }

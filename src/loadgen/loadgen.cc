@@ -49,11 +49,13 @@ class Run : public ResponseDelegate
     begin(std::function<void()> on_finish = nullptr)
     {
         onFinish_ = std::move(on_finish);
+        // Stage first: a QSL that loads samples in loadSamplesToRam
+        // must not make the first scheduled queries late.
+        prepareSamples();
         // Anchor every schedule at the current executor time so that
         // several tests can run back-to-back on one executor (wall
         // clocks never restart; virtual ones need not either).
         runStart_ = executor_.now();
-        prepareSamples();
         start();
     }
 

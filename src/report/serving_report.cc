@@ -83,10 +83,11 @@ renderServingSummary(const serving::StatsSnapshot &snapshot,
         withThousands(snapshot.samplesCompleted).c_str(),
         withThousands(snapshot.samplesShed).c_str());
     out += strprintf(
-        "  batches: %s formed (%s size / %s timeout / %s drain), "
-        "%s shed, avg size %.2f\n",
+        "  batches: %s formed (%s size / %s demand / %s timeout / "
+        "%s drain), %s shed, avg size %.2f\n",
         withThousands(snapshot.batchesFormed).c_str(),
         withThousands(snapshot.sizeFlushes).c_str(),
+        withThousands(snapshot.demandFlushes).c_str(),
         withThousands(snapshot.timeoutFlushes).c_str(),
         withThousands(snapshot.drainFlushes).c_str(),
         withThousands(snapshot.batchesShed).c_str(),
@@ -186,7 +187,8 @@ servingSnapshotJson(const serving::StatsSnapshot &snapshot,
         "\"samples_issued\":%llu,\"samples_completed\":%llu,"
         "\"samples_shed\":%llu,\"batches_formed\":%llu,"
         "\"batches_shed\":%llu,\"size_flushes\":%llu,"
-        "\"timeout_flushes\":%llu,\"drain_flushes\":%llu,"
+        "\"demand_flushes\":%llu,\"timeout_flushes\":%llu,"
+        "\"drain_flushes\":%llu,"
         "\"avg_batch_size\":%.3f,\"workers\":%lld,"
         "\"utilization\":%.4f,\"elapsed_ns\":%llu,",
         static_cast<unsigned long long>(snapshot.samplesIssued),
@@ -195,6 +197,7 @@ servingSnapshotJson(const serving::StatsSnapshot &snapshot,
         static_cast<unsigned long long>(snapshot.batchesFormed),
         static_cast<unsigned long long>(snapshot.batchesShed),
         static_cast<unsigned long long>(snapshot.sizeFlushes),
+        static_cast<unsigned long long>(snapshot.demandFlushes),
         static_cast<unsigned long long>(snapshot.timeoutFlushes),
         static_cast<unsigned long long>(snapshot.drainFlushes),
         snapshot.averageBatchSize(),

@@ -44,6 +44,7 @@ enum class FlushReason
     Size,     //!< reached the max batch size
     Timeout,  //!< batching-window deadline expired
     Drain,    //!< explicit flush (flushQueries / end of run)
+    Demand,   //!< partial batch released to a free worker (window 0)
 };
 
 /** A formed batch travelling from batcher to worker. */

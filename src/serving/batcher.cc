@@ -4,14 +4,17 @@
 #include <cassert>
 #include <utility>
 
+#include "common/lock_probe.h"
+
 namespace mlperf {
 namespace serving {
 
 DynamicBatcher::DynamicBatcher(sim::Executor &executor,
                                int64_t max_batch, sim::Tick timeout_ns,
-                               EmitFn emit)
+                               EmitFn emit, DemandFn worker_free)
     : executor_(executor), maxBatch_(std::max<int64_t>(1, max_batch)),
-      timeoutNs_(timeout_ns), emit_(std::move(emit))
+      timeoutNs_(timeout_ns), emit_(std::move(emit)),
+      workerFree_(timeout_ns == 0 ? std::move(worker_free) : DemandFn{})
 {
     assert(emit_ && "batcher needs an emit callback");
 }
@@ -27,6 +30,10 @@ DynamicBatcher::takeBatch(size_t count, FlushReason reason)
         batch.items.push_back(std::move(pending_.front()));
         pending_.pop_front();
     }
+    if (pending_.empty()) {
+        ++generation_;  // any armed deadline is now stale
+        deadlineArmed_ = false;
+    }
     return batch;
 }
 
@@ -38,9 +45,8 @@ DynamicBatcher::emitAll(std::vector<Batch> &batches)
 }
 
 void
-DynamicBatcher::armDeadline(sim::Tick now)
+DynamicBatcher::armDeadline()
 {
-    (void)now;
     deadlineArmed_ = true;
     const uint64_t generation = generation_;
     executor_.scheduleAfter(timeoutNs_, [this, generation] {
@@ -55,6 +61,7 @@ DynamicBatcher::enqueue(const std::vector<loadgen::QuerySample> &samples,
 {
     std::vector<Batch> formed;
     {
+        LockProbe::noteAcquire();
         std::lock_guard<std::mutex> lock(mutex_);
         const sim::Tick now = executor_.now();
         for (const auto &sample : samples)
@@ -64,22 +71,46 @@ DynamicBatcher::enqueue(const std::vector<loadgen::QuerySample> &samples,
             formed.push_back(takeBatch(
                 static_cast<size_t>(maxBatch_), FlushReason::Size));
         }
-        if (!pending_.empty()) {
+        if (!pending_.empty() && !workerFree_) {
             if (timeoutNs_ == 0) {
-                // No batching window: a zero-length deadline expires
-                // immediately, so dispatch the remainder in-line.
+                // No window and no demand source: a zero-length
+                // deadline expires at once, so dispatch in-line.
                 formed.push_back(takeBatch(pending_.size(),
                                            FlushReason::Timeout));
             } else if (!deadlineArmed_) {
-                armDeadline(now);
+                armDeadline();
             }
-        }
-        if (pending_.empty()) {
-            ++generation_;  // any armed deadline is now stale
-            deadlineArmed_ = false;
         }
     }
     emitAll(formed);
+    // Judge demand only now that the full batches are queued: an idle
+    // worker they will occupy is not free for the remainder.
+    Batch partial;
+    if (workerFree_ && takeDemand(true, partial))
+        emit_(std::move(partial));
+}
+
+bool
+DynamicBatcher::takeDemand(bool ask_pool, Batch &out)
+{
+    LockProbe::noteAcquire();
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (pending_.empty() || (ask_pool && !workerFree_()))
+        return false;
+    out = takeBatch(std::min<size_t>(pending_.size(),
+                                     static_cast<size_t>(maxBatch_)),
+                    FlushReason::Demand);
+    return true;
+}
+
+bool
+DynamicBatcher::pull()
+{
+    Batch batch;
+    if (!takeDemand(false, batch))
+        return false;
+    emit_(std::move(batch));
+    return true;
 }
 
 void
@@ -87,6 +118,7 @@ DynamicBatcher::onDeadline(uint64_t generation)
 {
     std::vector<Batch> formed;
     {
+        LockProbe::noteAcquire();
         std::lock_guard<std::mutex> lock(mutex_);
         if (generation != generation_)
             return;  // batch already left by size flush or drain
@@ -94,7 +126,6 @@ DynamicBatcher::onDeadline(uint64_t generation)
         if (!pending_.empty()) {
             formed.push_back(
                 takeBatch(pending_.size(), FlushReason::Timeout));
-            ++generation_;
         }
     }
     emitAll(formed);
@@ -105,6 +136,7 @@ DynamicBatcher::flush()
 {
     std::vector<Batch> formed;
     {
+        LockProbe::noteAcquire();
         std::lock_guard<std::mutex> lock(mutex_);
         while (!pending_.empty()) {
             const size_t take = std::min<size_t>(
@@ -120,6 +152,7 @@ DynamicBatcher::flush()
 size_t
 DynamicBatcher::pending() const
 {
+    LockProbe::noteAcquire();
     std::lock_guard<std::mutex> lock(mutex_);
     return pending_.size();
 }

@@ -26,7 +26,7 @@
 #include <optional>
 #include <utility>
 
-#include "serving/lock_probe.h"
+#include "common/lock_probe.h"
 
 namespace mlperf {
 namespace serving {

@@ -1,5 +1,6 @@
 #include "serving/completion_tracker.h"
 
+#include "common/lock_probe.h"
 #include "serving/batch.h"
 
 namespace mlperf {
@@ -38,6 +39,7 @@ CompletionTracker::track(
     loadgen::ResponseDelegate &delegate, sim::Tick deadline)
 {
     {
+        LockProbe::noteAcquire();
         std::lock_guard<std::mutex> lock(mutex_);
         for (const auto &sample : samples)
             pending_[sample.id] = &delegate;
@@ -64,6 +66,7 @@ CompletionTracker::querySamplesComplete(
     std::vector<loadgen::QuerySampleResponse> fresh;
     std::vector<loadgen::ResponseDelegate *> owners;
     {
+        LockProbe::noteAcquire();
         std::lock_guard<std::mutex> lock(mutex_);
         for (const auto &response : responses) {
             auto it = pending_.find(response.id);
@@ -89,6 +92,7 @@ CompletionTracker::reap(const std::vector<loadgen::ResponseId> &ids)
     std::vector<loadgen::QuerySampleResponse> expired;
     std::vector<loadgen::ResponseDelegate *> owners;
     {
+        LockProbe::noteAcquire();
         std::lock_guard<std::mutex> lock(mutex_);
         for (loadgen::ResponseId id : ids) {
             auto it = pending_.find(id);
@@ -116,6 +120,7 @@ CompletionTracker::drain()
     std::vector<loadgen::QuerySampleResponse> leftovers;
     std::vector<loadgen::ResponseDelegate *> owners;
     {
+        LockProbe::noteAcquire();
         std::lock_guard<std::mutex> lock(mutex_);
         for (const auto &[id, delegate] : pending_) {
             leftovers.push_back(
@@ -137,6 +142,7 @@ CompletionTracker::drain()
 uint64_t
 CompletionTracker::outstanding() const
 {
+    LockProbe::noteAcquire();
     std::lock_guard<std::mutex> lock(mutex_);
     return pending_.size();
 }

@@ -3,7 +3,7 @@
 #include <cassert>
 #include <chrono>
 
-#include "serving/lock_probe.h"
+#include "common/lock_probe.h"
 
 namespace mlperf {
 namespace serving {

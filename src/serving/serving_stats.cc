@@ -1,6 +1,6 @@
 #include "serving/serving_stats.h"
 
-#include "serving/lock_probe.h"
+#include "common/lock_probe.h"
 
 namespace mlperf {
 namespace serving {
@@ -33,6 +33,9 @@ ServingStats::recordBatchFormed(const Batch &batch)
         break;
       case FlushReason::Drain:
         issue_.drainFlushes.fetch_add(1, kRelaxed);
+        break;
+      case FlushReason::Demand:
+        issue_.demandFlushes.fetch_add(1, kRelaxed);
         break;
     }
     LockProbe::noteAcquire();
@@ -221,6 +224,7 @@ ServingStats::snapshot() const
     s.batchesFormed = issue_.batchesFormed.load(kRelaxed);
     s.sizeFlushes = issue_.sizeFlushes.load(kRelaxed);
     s.timeoutFlushes = issue_.timeoutFlushes.load(kRelaxed);
+    s.demandFlushes = issue_.demandFlushes.load(kRelaxed);
     s.drainFlushes = issue_.drainFlushes.load(kRelaxed);
     s.admissionShedSamples = issue_.admissionShedSamples.load(kRelaxed);
     s.samplesShed = issue_.samplesShed.load(kRelaxed);

@@ -54,6 +54,7 @@ struct StatsSnapshot
     uint64_t sizeFlushes = 0;     //!< batches closed by max size
     uint64_t timeoutFlushes = 0;  //!< batches closed by the deadline
     uint64_t drainFlushes = 0;    //!< batches closed by flush()
+    uint64_t demandFlushes = 0;   //!< partial batches a worker started
 
     // ---- Resilience counters (0 unless the features are enabled).
     uint64_t admissionShedSamples = 0;  //!< rejected at issueQuery
@@ -212,7 +213,8 @@ class ServingStats
   private:
     using Counter = std::atomic<uint64_t>;
 
-    /** Written by the issue thread (and batcher emit callbacks). */
+    /** Written by the issue thread and batcher emit callbacks (a
+     *  worker's demand pull emits on the worker). */
     struct alignas(64) IssueCounters
     {
         Counter samplesIssued{0};
@@ -220,6 +222,7 @@ class ServingStats
         Counter sizeFlushes{0};
         Counter timeoutFlushes{0};
         Counter drainFlushes{0};
+        Counter demandFlushes{0};
         Counter admissionShedSamples{0};
         Counter samplesShed{0};
         Counter batchesShed{0};

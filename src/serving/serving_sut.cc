@@ -49,7 +49,6 @@ ServingSut::ServingSut(sim::Executor &executor,
         engine = resilient_.get();
     }
 
-    const bool trackerActive = tracker_ != nullptr;
     const bool autoscaled =
         options_.autoscale.enabled && mode_ == WorkerMode::Threads;
     int64_t shards = options_.shards;
@@ -58,7 +57,7 @@ ServingSut::ServingSut(sim::Executor &executor,
     shards = std::max<int64_t>(
         1, std::min<int64_t>(shards,
                              std::max<int64_t>(1, options_.workers)));
-
+    int64_t initialShards = shards;
     if (autoscaled) {
         // The pool is built at the ceiling; `shards` (clamped into
         // [min, max]) is only how many start active. Workers are
@@ -68,31 +67,39 @@ ServingSut::ServingSut(sim::Executor &executor,
             std::max<int64_t>(1, options_.autoscale.maxShards);
         const int64_t minShards = std::max<int64_t>(
             1, std::min(options_.autoscale.minShards, maxShards));
-        const int64_t initial = std::max(
+        initialShards = std::max(
             minShards, std::min<int64_t>(options_.shards, maxShards));
-        ShardOptions sharding;
-        sharding.shards = maxShards;
-        sharding.initialActiveShards = initial;
-        sharding.workersPerShard =
-            std::max<int64_t>(1, options_.workers / maxShards);
-        sharding.queueCapacityBatches =
-            options_.queueCapacityBatches == 0
-                ? 0
-                : std::max<size_t>(
-                      1, options_.queueCapacityBatches /
-                             static_cast<size_t>(maxShards));
-        sharding.pinThreads = options_.pinThreads;
-        sharding.stealWhenIdle = options_.stealWhenIdle;
-        sharding.trackerActive = trackerActive;
-        sharding.sloTargetNs = options_.autoscale.sloTargetNs;
-        auto sharded = std::make_unique<ShardedWorkerPool>(
-            executor_, *engine, stats_, sharding);
-        sharded_ = sharded.get();
-        pool_ = std::move(sharded);
         shards = maxShards;
-    } else if (shards > 1) {
+    }
+
+    // Window 0 is demand dispatch: each shard's batcher asks the pool
+    // whether a worker of that shard is free, and a worker that runs
+    // out of queued batches pulls from its shard's batcher. The
+    // batchers exist before the pool because its workers may pull as
+    // soon as they start.
+    const bool demand = options_.batchTimeoutNs == 0;
+    batchers_.reserve(static_cast<size_t>(shards));
+    for (int64_t s = 0; s < shards; ++s) {
+        const size_t shard = static_cast<size_t>(s);
+        DynamicBatcher::DemandFn workerFree;
+        if (demand)
+            workerFree = [this, shard] { return pool_->workerFree(shard); };
+        batchers_.push_back(std::make_unique<DynamicBatcher>(
+            executor_, options_.maxBatch, options_.batchTimeoutNs,
+            [this, shard](Batch &&batch) {
+                onBatchFormed(shard, std::move(batch));
+            },
+            std::move(workerFree)));
+    }
+    WorkerPool::PullFn pull;
+    if (demand)
+        pull = [this](size_t shard) { return batchers_[shard]->pull(); };
+
+    const bool trackerActive = tracker_ != nullptr;
+    if (autoscaled || shards > 1) {
         ShardOptions sharding;
         sharding.shards = shards;
+        sharding.initialActiveShards = initialShards;
         sharding.workersPerShard =
             std::max<int64_t>(1, options_.workers / shards);
         sharding.queueCapacityBatches =
@@ -106,28 +113,21 @@ ServingSut::ServingSut(sim::Executor &executor,
         sharding.trackerActive = trackerActive;
         sharding.sloTargetNs = options_.autoscale.sloTargetNs;
         auto sharded = std::make_unique<ShardedWorkerPool>(
-            executor_, *engine, stats_, sharding);
+            executor_, *engine, stats_, sharding, std::move(pull));
         sharded_ = sharded.get();
         pool_ = std::move(sharded);
     } else if (mode_ == WorkerMode::Threads) {
         pool_ = std::make_unique<ThreadWorkerPool>(
             executor_, *engine, stats_, options_.workers,
-            options_.queueCapacityBatches, trackerActive);
+            options_.queueCapacityBatches, trackerActive,
+            std::move(pull));
     } else {
         pool_ = std::make_unique<EventWorkerPool>(
             executor_, *engine, stats_, options_.workers,
-            options_.queueCapacityBatches, trackerActive);
+            options_.queueCapacityBatches, trackerActive,
+            std::move(pull));
     }
 
-    batchers_.reserve(static_cast<size_t>(shards));
-    for (int64_t s = 0; s < shards; ++s) {
-        const size_t shard = static_cast<size_t>(s);
-        batchers_.push_back(std::make_unique<DynamicBatcher>(
-            executor_, options_.maxBatch, options_.batchTimeoutNs,
-            [this, shard](Batch &&batch) {
-                onBatchFormed(shard, std::move(batch));
-            }));
-    }
     activeBatchers_.store(
         autoscaled ? sharded_->activeShardCount() : batchers_.size(),
         std::memory_order_release);
@@ -244,6 +244,19 @@ ServingSut::issueQuery(const std::vector<loadgen::QuerySample> &samples,
     for (size_t s = 0; s < shards; ++s) {
         if (!parts[s].empty())
             batchers_[s]->enqueue(parts[s], *target, deadline);
+    }
+    if (!autoscaler_)
+        return;
+    // A shrink may have unrouted a shard after the count above was
+    // read. Its scale hook flushes the batcher after unrouting, so
+    // either that flush saw these samples or this re-read sees the
+    // smaller count. Flush them here then: the shard's workers are
+    // leaving, so no demand would release them, and the flushed batch
+    // reroutes in submitTo.
+    const size_t active = activeBatchers_.load(std::memory_order_acquire);
+    for (size_t s = active; s < shards; ++s) {
+        if (!parts[s].empty())
+            batchers_[s]->flush();
     }
 }
 

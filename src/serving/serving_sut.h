@@ -6,6 +6,9 @@
  * Pipeline:  issueQuery -> admission control -> DynamicBatcher ->
  * bounded queue -> WorkerPool -> [ResilientInference ->]
  * BatchInference -> [CompletionTracker ->] ResponseDelegate (async).
+ * With the default batchTimeoutNs of 0 the batcher and the pool
+ * work on demand: a partial batch leaves when a worker can start it,
+ * and idle workers pull what accumulated while they were busy.
  *
  * The paper's server scenario measures how a SUT copes with
  * "multiple users submitting concurrent, independent queries"
@@ -77,11 +80,18 @@ struct ServingOptions
     /** Largest formed batch. */
     int64_t maxBatch = 8;
     /**
-     * How long the batcher may hold a partial batch; 0 dispatches
-     * on every enqueue.
+     * How long the batcher may hold a partial batch. 0 = demand
+     * dispatch: a partial batch leaves when a worker can start it,
+     * and while every worker is busy the samples accumulate until a
+     * worker pulls up to maxBatch of them. > 0 = hold up to the
+     * window, then release (FlushReason::Timeout).
      */
-    sim::Tick batchTimeoutNs = 2 * sim::kNsPerMs;
-    /** Worker pool size (threads or logical engines). */
+    sim::Tick batchTimeoutNs = 0;
+    /**
+     * Worker pool size (threads or logical engines). Worker threads
+     * split the intra-op budget: each runs kernels on
+     * ThreadPool::budgetShare(workers) threads.
+     */
     int64_t workers = 4;
     /**
      * Worker-queue capacity in batches; 0 = unbounded. A full queue

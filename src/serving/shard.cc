@@ -4,7 +4,8 @@
 #include <chrono>
 #include <exception>
 
-#include "serving/lock_probe.h"
+#include "common/lock_probe.h"
+#include "common/parallel.h"
 
 #if defined(__linux__)
 #include <pthread.h>
@@ -58,9 +59,11 @@ pinToCpu(unsigned cpu)
 ShardedWorkerPool::ShardedWorkerPool(sim::Executor &executor,
                                      BatchInference &inference,
                                      ServingStats &stats,
-                                     ShardOptions options)
+                                     ShardOptions options, PullFn pull)
     : executor_(executor), inference_(inference), stats_(stats),
-      options_(sanitized(std::move(options)))
+      options_(sanitized(std::move(options))), pull_(std::move(pull)),
+      intraOpWidth_(ThreadPool::budgetShare(options_.shards *
+                                            options_.workersPerShard))
 {
     const size_t shards = static_cast<size_t>(options_.shards);
     const size_t active =
@@ -137,11 +140,8 @@ bool
 ShardedWorkerPool::submitTo(size_t shard_index, Batch &batch)
 {
     Shard &shard = *shards_[shard_index];
-    const uint64_t samples = batch.items.size();
-    if (shard.queue.tryPush(batch)) {
-        shard.queuedSamples.fetch_add(samples, kRelaxed);
+    if (shard.queue.tryPush(batch))
         return true;
-    }
     if (!shard.queue.closed())
         return false;  // full: backpressure, the caller sheds
     // The target shard closed under us (a concurrent shrink, or a
@@ -150,11 +150,8 @@ ShardedWorkerPool::submitTo(size_t shard_index, Batch &batch)
     // backpressure (every open queue full) may refuse it.
     const size_t shards = shards_.size();
     for (size_t i = 1; i < shards; ++i) {
-        Shard &other = *shards_[(shard_index + i) % shards];
-        if (other.queue.tryPush(batch)) {
-            other.queuedSamples.fetch_add(samples, kRelaxed);
+        if (shards_[(shard_index + i) % shards]->queue.tryPush(batch))
             return true;
-        }
     }
     return false;
 }
@@ -248,14 +245,20 @@ ShardedWorkerPool::queuedSamples() const
 {
     uint64_t total = 0;
     for (const auto &shard : shards_)
-        total += shard->queuedSamples.load(kRelaxed);
+        total += shard->queue.queuedSamples();
     return total;
 }
 
 uint64_t
 ShardedWorkerPool::queuedSamplesOn(size_t shard) const
 {
-    return shards_[shard]->queuedSamples.load(kRelaxed);
+    return shards_[shard]->queue.queuedSamples();
+}
+
+bool
+ShardedWorkerPool::workerFree(size_t shard) const
+{
+    return shards_[shard]->queue.workerFree();
 }
 
 uint64_t
@@ -270,26 +273,34 @@ ShardedWorkerPool::steals() const
 void
 ShardedWorkerPool::workerLoop(size_t shard_index)
 {
+    IntraOpBinding budget(intraOpWidth_);
     Shard &own = *shards_[shard_index];
     for (;;) {
         // Own work first: a shard's workers are its dedicated service
         // capacity, and stealing is strictly the idle fallback.
-        if (auto batch = own.queue.tryPop()) {
-            own.queuedSamples.fetch_sub(batch->items.size(), kRelaxed);
+        if (auto batch = popBusy(shard_index)) {
             process(shard_index, std::move(*batch));
+            continue;
+        }
+        // Idle from here until work arrives, counted before the pull
+        // (serving/demand_queue.h).
+        own.queue.enterIdle();
+        if (pull_ && pull_(shard_index)) {
+            own.queue.leaveIdle();
             continue;
         }
         // A draining shard's workers do not steal: their job is to
         // empty their own queue and exit so the shrink join returns.
-        if (options_.stealWhenIdle && own.accepting.load(kRelaxed)) {
-            Batch stolen;
-            if (trySteal(shard_index, stolen)) {
-                process(shard_index, std::move(stolen));
-                continue;
-            }
+        Batch stolen;
+        if (options_.stealWhenIdle && own.accepting.load(kRelaxed) &&
+            trySteal(shard_index, stolen)) {
+            own.queue.leaveIdle();
+            process(shard_index, std::move(stolen));
+            continue;
         }
-        if (auto batch = own.queue.popFor(kIdleParkUs)) {
-            own.queuedSamples.fetch_sub(batch->items.size(), kRelaxed);
+        auto batch = own.queue.popFor(kIdleParkUs);
+        own.queue.leaveIdle();
+        if (batch) {
             process(shard_index, std::move(*batch));
             continue;
         }
@@ -298,15 +309,19 @@ ShardedWorkerPool::workerLoop(size_t shard_index)
     }
 }
 
+std::optional<Batch>
+ShardedWorkerPool::popBusy(size_t index)
+{
+    return shards_[index]->queue.tryPopBusy(
+        [this, index] { return pull_ && pull_(index); });
+}
+
 bool
 ShardedWorkerPool::trySteal(size_t thief, Batch &out)
 {
     const size_t shards = shards_.size();
     for (size_t i = 1; i < shards; ++i) {
-        Shard &victim = *shards_[(thief + i) % shards];
-        if (auto batch = victim.queue.tryPop()) {
-            victim.queuedSamples.fetch_sub(batch->items.size(),
-                                           kRelaxed);
+        if (auto batch = popBusy((thief + i) % shards)) {
             shards_[thief]->steals.fetch_add(1, kRelaxed);
             out = std::move(*batch);
             return true;

@@ -30,9 +30,14 @@
  * on the drainer makes the wake-up race benign).
  *
  * Pinned workers give each shard cache/NUMA locality for free:
- * per-thread ScratchArenas (PR 2) become per-shard arenas, and the
- * prepacked constant section (PR 5) is shared read-only, so shards
- * need no constant replication.
+ * per-thread ScratchArenas become per-shard arenas, and the
+ * prepacked constant section is shared read-only, so shards need no
+ * constant replication. Every worker binds its share of the intra-op
+ * budget, counting the autoscaler's ceiling of shards x workers.
+ *
+ * Demand (window-0 batchers) is per shard: each shard's DemandQueue
+ * answers workerFree(s), and a worker whose own queue is empty pulls
+ * from its shard's batcher before it tries to steal.
  */
 
 #ifndef MLPERF_SERVING_SHARD_H
@@ -44,12 +49,13 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <vector>
 
 #include "serving/batch.h"
 #include "serving/batch_inference.h"
-#include "serving/bounded_queue.h"
+#include "serving/demand_queue.h"
 #include "serving/mpsc_ring.h"
 #include "serving/serving_stats.h"
 #include "serving/worker_pool.h"
@@ -126,9 +132,10 @@ struct CompletionRecord
 class ShardedWorkerPool : public WorkerPool
 {
   public:
+    /** @param pull demand pull, called with the worker's shard. */
     ShardedWorkerPool(sim::Executor &executor,
                       BatchInference &inference, ServingStats &stats,
-                      ShardOptions options);
+                      ShardOptions options, PullFn pull = {});
     ~ShardedWorkerPool() override;
 
     /** Route by hash of (route, first sample id); false = shard full. */
@@ -195,6 +202,11 @@ class ShardedWorkerPool : public WorkerPool
     /** Lock-free: per-shard relaxed counters, summed on read. */
     uint64_t queuedSamples() const override;
 
+    bool workerFree(size_t shard) const override;
+
+    /** Intra-op threads each worker runs its kernels on. */
+    int intraOpWidth() const { return intraOpWidth_; }
+
     size_t shardCount() const { return shards_.size(); }
 
     /** Samples queued on one shard (relaxed read). */
@@ -225,15 +237,13 @@ class ShardedWorkerPool : public WorkerPool
         {
         }
 
-        BoundedQueue<Batch> queue;
+        DemandQueue queue;
         MpscRing<CompletionRecord> ring;
         /** Pinned workers; owned per shard so shrink can join them. */
         std::vector<std::thread> workers;
         /** False while the shard is inactive or draining: its own
          *  workers stop stealing so the shrink join stays prompt. */
         std::atomic<bool> accepting{true};
-        /** Samples admitted but not yet picked up, on its own line. */
-        alignas(64) std::atomic<uint64_t> queuedSamples{0};
         alignas(64) std::atomic<uint64_t> steals{0};
     };
 
@@ -241,6 +251,8 @@ class ShardedWorkerPool : public WorkerPool
     /** Spawn options_.workersPerShard threads into shard @p index. */
     void spawnShardWorkers(size_t index);
     void drainerLoop();
+    /** tryPopBusy on shard @p index, pulling for its idle worker. */
+    std::optional<Batch> popBusy(size_t index);
     /** Steal from another shard; called only with own queue empty. */
     bool trySteal(size_t thief, Batch &out);
     void process(size_t shard_index, Batch &&batch);
@@ -257,6 +269,8 @@ class ShardedWorkerPool : public WorkerPool
     BatchInference &inference_;
     ServingStats &stats_;
     const ShardOptions options_;
+    const PullFn pull_;
+    const int intraOpWidth_;
     std::vector<std::unique_ptr<Shard>> shards_;
     std::thread drainer_;
     std::atomic<bool> stopped_{false};

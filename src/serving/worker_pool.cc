@@ -4,6 +4,8 @@
 #include <cassert>
 #include <utility>
 
+#include "common/parallel.h"
+
 namespace mlperf {
 namespace serving {
 
@@ -57,9 +59,11 @@ ThreadWorkerPool::ThreadWorkerPool(sim::Executor &executor,
                                    BatchInference &inference,
                                    ServingStats &stats, int64_t workers,
                                    size_t queue_capacity,
-                                   bool tracker_active)
+                                   bool tracker_active, PullFn pull)
     : executor_(executor), inference_(inference), stats_(stats),
-      trackerActive_(tracker_active), queue_(queue_capacity)
+      trackerActive_(tracker_active), pull_(std::move(pull)),
+      intraOpWidth_(ThreadPool::budgetShare(workers)),
+      queue_(queue_capacity)
 {
     workers = std::max<int64_t>(1, workers);
     stats_.setWorkers(workers);
@@ -76,11 +80,7 @@ ThreadWorkerPool::~ThreadWorkerPool()
 bool
 ThreadWorkerPool::submit(Batch &batch)
 {
-    const uint64_t samples = batch.items.size();
-    if (!queue_.tryPush(batch))
-        return false;
-    queuedSamples_.fetch_add(samples, std::memory_order_relaxed);
-    return true;
+    return queue_.tryPush(batch);
 }
 
 void
@@ -98,15 +98,30 @@ ThreadWorkerPool::shutdown()
 void
 ThreadWorkerPool::workerLoop()
 {
-    while (auto batch = queue_.pop())
+    IntraOpBinding budget(intraOpWidth_);
+    const auto pull = [this] { return pull_ && pull_(0); };
+    for (;;) {
+        std::optional<Batch> batch = queue_.tryPopBusy(pull);
+        if (!batch) {
+            // Out of queued batches: idle before the pull, the order
+            // the demand protocol rests on (serving/demand_queue.h).
+            queue_.enterIdle();
+            const bool pulled = pull();
+            if (!pulled)
+                batch = queue_.pop();
+            queue_.leaveIdle();
+            if (pulled)
+                continue;
+            if (!batch)
+                return;  // closed and drained
+        }
         process(std::move(*batch));
+    }
 }
 
 void
 ThreadWorkerPool::process(Batch &&batch)
 {
-    queuedSamples_.fetch_sub(batch.items.size(),
-                             std::memory_order_relaxed);
     const sim::Tick start = executor_.now();
     shedExpired(batch, start, stats_);
     if (batch.items.empty())
@@ -138,11 +153,11 @@ EventWorkerPool::EventWorkerPool(sim::Executor &executor,
                                  BatchInference &inference,
                                  ServingStats &stats, int64_t workers,
                                  size_t queue_capacity,
-                                 bool tracker_active)
+                                 bool tracker_active, PullFn pull)
     : executor_(executor), inference_(inference), stats_(stats),
       trackerActive_(tracker_active),
       workers_(std::max<int64_t>(1, workers)),
-      queueCapacity_(queue_capacity)
+      queueCapacity_(queue_capacity), pull_(std::move(pull))
 {
     stats_.setWorkers(workers_);
 }
@@ -154,14 +169,20 @@ EventWorkerPool::submit(Batch &batch)
         return false;
     queuedSamples_ += batch.items.size();
     queue_.push_back(std::move(batch));
-    dispatch();
+    if (!dispatching_)
+        dispatch(false);
     return true;
 }
 
 void
-EventWorkerPool::dispatch()
+EventWorkerPool::dispatch(bool pull)
 {
-    while (busyWorkers_ < workers_ && !queue_.empty()) {
+    dispatching_ = true;
+    while (busyWorkers_ < workers_) {
+        if (queue_.empty() && !(pull && pull_ && pull_(0)))
+            break;
+        if (queue_.empty())
+            continue;  // defensive: the pulled batch did not land here
         Batch batch = std::move(queue_.front());
         queue_.pop_front();
         queuedSamples_ -= batch.items.size();
@@ -181,6 +202,7 @@ EventWorkerPool::dispatch()
                 finishBatch(batch, service);
             });
     }
+    dispatching_ = false;
 }
 
 void
@@ -201,7 +223,7 @@ EventWorkerPool::finishBatch(const Batch &batch, sim::Tick service_ns)
                          stats_, trackerActive_);
     }
     --busyWorkers_;
-    dispatch();
+    dispatch(true);
 }
 
 } // namespace serving

@@ -7,6 +7,9 @@
  *  - ThreadWorkerPool: N OS threads pull batches from a bounded MPMC
  *    queue and run real inference (RedisAI-style background
  *    workers). Used with RealExecutor, where compute takes wall time.
+ *    Each thread binds its share of the intra-op budget
+ *    (ThreadPool::budgetShare), so concurrent workers never wait on
+ *    one another's kernel pool.
  *  - EventWorkerPool: N logical workers advance virtual time by the
  *    inference functor's modeled service time. Used with
  *    VirtualExecutor so full-scale server runs stay deterministic
@@ -14,7 +17,10 @@
  *
  * Both report backpressure by failing submit(), leaving the shed
  * policy to the caller (ServingSut fast-fails the batch and counts
- * it).
+ * it). Both report demand for a window-0 batcher: workerFree() says
+ * whether a worker could start another batch now, and a worker that
+ * runs out of queued batches calls the pool's PullFn to have the
+ * batcher emit the samples it holds.
  */
 
 #ifndef MLPERF_SERVING_WORKER_POOL_H
@@ -23,12 +29,13 @@
 #include <atomic>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <thread>
 #include <vector>
 
 #include "serving/batch.h"
 #include "serving/batch_inference.h"
-#include "serving/bounded_queue.h"
+#include "serving/demand_queue.h"
 #include "serving/serving_stats.h"
 #include "sim/executor.h"
 
@@ -38,6 +45,13 @@ namespace serving {
 class WorkerPool
 {
   public:
+    /**
+     * Demand pull: a worker of @p shard that ran out of queued batches
+     * calls it to have that shard's batcher emit up to one batch into
+     * the pool (DynamicBatcher::pull); true when one was emitted.
+     */
+    using PullFn = std::function<bool(size_t shard)>;
+
     virtual ~WorkerPool() = default;
 
     /**
@@ -54,6 +68,13 @@ class WorkerPool
 
     /** Samples admitted but not yet picked up by a worker. */
     virtual uint64_t queuedSamples() const = 0;
+
+    /**
+     * Whether a worker of @p shard could start one more batch now: it
+     * is idle and no queued batch already claims it. Lock-free; the
+     * demand source of a window-0 DynamicBatcher.
+     */
+    virtual bool workerFree(size_t shard) const = 0;
 };
 
 /** N threads around a bounded queue; inference takes real time. */
@@ -66,11 +87,13 @@ class ThreadWorkerPool : public WorkerPool
      *        may then be swallowed (the reaper completes the samples);
      *        without a tracker it is completed as Failed so the run
      *        never hangs.
+     * @param pull demand pull (shard 0); empty = workers only take
+     *        submitted batches
      */
     ThreadWorkerPool(sim::Executor &executor,
                      BatchInference &inference, ServingStats &stats,
                      int64_t workers, size_t queue_capacity,
-                     bool tracker_active = false);
+                     bool tracker_active = false, PullFn pull = {});
     ~ThreadWorkerPool() override;
 
     bool submit(Batch &batch) override;
@@ -83,8 +106,16 @@ class ThreadWorkerPool : public WorkerPool
     uint64_t
     queuedSamples() const override
     {
-        return queuedSamples_.load(std::memory_order_relaxed);
+        return queue_.queuedSamples();
     }
+    bool
+    workerFree(size_t) const override
+    {
+        return queue_.workerFree();
+    }
+
+    /** Intra-op threads each worker runs its kernels on. */
+    int intraOpWidth() const { return intraOpWidth_; }
 
   private:
     void workerLoop();
@@ -94,11 +125,9 @@ class ThreadWorkerPool : public WorkerPool
     BatchInference &inference_;
     ServingStats &stats_;
     const bool trackerActive_;
-    BoundedQueue<Batch> queue_;
-    /** Hot counters on their own cache lines: the submit side bumps
-     *  queuedSamples_ on every batch while workers decrement it, and
-     *  neither should false-share with the queue or thread bookkeeping. */
-    alignas(64) std::atomic<uint64_t> queuedSamples_{0};
+    const PullFn pull_;
+    const int intraOpWidth_;
+    DemandQueue queue_;
     alignas(64) std::atomic<bool> stopped_{false};
     std::vector<std::thread> threads_;
 };
@@ -112,19 +141,31 @@ class ThreadWorkerPool : public WorkerPool
 class EventWorkerPool : public WorkerPool
 {
   public:
-    /** @param tracker_active see ThreadWorkerPool. */
+    /** @param tracker_active, pull see ThreadWorkerPool. */
     EventWorkerPool(sim::Executor &executor,
                     BatchInference &inference, ServingStats &stats,
                     int64_t workers, size_t queue_capacity,
-                    bool tracker_active = false);
+                    bool tracker_active = false, PullFn pull = {});
 
     bool submit(Batch &batch) override;
     void shutdown() override {}
     int64_t workerCount() const override { return workers_; }
     uint64_t queuedSamples() const override { return queuedSamples_; }
+    bool
+    workerFree(size_t) const override
+    {
+        return busyWorkers_ + static_cast<int64_t>(queue_.size()) <
+               workers_;
+    }
 
   private:
-    void dispatch();
+    /**
+     * Start queued batches on free workers. @p pull: a worker just
+     * freed, so once the queue is empty it pulls from the batcher. A
+     * submit does not pull: the enqueue that submits full batches
+     * judges demand for its remainder itself, afterwards.
+     */
+    void dispatch(bool pull);
     void finishBatch(const Batch &batch, sim::Tick service_ns);
 
     sim::Executor &executor_;
@@ -133,9 +174,12 @@ class EventWorkerPool : public WorkerPool
     const bool trackerActive_;
     const int64_t workers_;
     const size_t queueCapacity_;  //!< batches; 0 = unbounded
+    const PullFn pull_;
     std::deque<Batch> queue_;
     uint64_t queuedSamples_ = 0;
     int64_t busyWorkers_ = 0;
+    /** Set inside dispatch(): a submit from a pull only queues. */
+    bool dispatching_ = false;
 };
 
 } // namespace serving

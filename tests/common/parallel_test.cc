@@ -143,6 +143,82 @@ TEST(ThreadPool, GlobalPoolResize)
     EXPECT_EQ(ThreadPool::global()->threadCount(), 4);
 }
 
+// ------------------------------------------------------ IntraOpBinding
+
+/** Distinct threads that ran chunks of one parallelFor call. */
+size_t
+threadsUsed(int64_t n)
+{
+    std::mutex mutex;
+    std::set<std::thread::id> ids;
+    parallelFor(0, n, 1, [&](int64_t b, int64_t e) {
+        volatile int64_t spin = 0;
+        for (int64_t i = b; i < e; ++i) {
+            for (int k = 0; k < 20000; ++k)
+                spin = spin + k;
+        }
+        std::lock_guard<std::mutex> lock(mutex);
+        ids.insert(std::this_thread::get_id());
+    });
+    return ids.size();
+}
+
+TEST(IntraOpBinding, WidthOneRunsInlineOnTheCaller)
+{
+    ThreadPool::setGlobalThreads(4);
+    std::thread bound([] {
+        IntraOpBinding binding(1);
+        EXPECT_NE(ThreadPool::bound(), nullptr);
+        EXPECT_EQ(binding.width(), 1);
+        const std::thread::id self = std::this_thread::get_id();
+        parallelFor(0, 64, 1, [&](int64_t, int64_t) {
+            EXPECT_EQ(std::this_thread::get_id(), self);
+        });
+    });
+    bound.join();
+}
+
+TEST(IntraOpBinding, WiderBindingUsesAtMostItsWidth)
+{
+    ThreadPool::setGlobalThreads(4);
+    std::thread bound([] {
+        IntraOpBinding binding(2);
+        for (int round = 0; round < 10; ++round)
+            EXPECT_LE(threadsUsed(64), 2u);
+    });
+    bound.join();
+}
+
+TEST(IntraOpBinding, UnbindsOnDestructionAndNests)
+{
+    EXPECT_EQ(ThreadPool::bound(), nullptr);
+    {
+        IntraOpBinding outer(2);
+        ThreadPool *outerPool = ThreadPool::bound();
+        ASSERT_NE(outerPool, nullptr);
+        EXPECT_EQ(outerPool->threadCount(), 2);
+        {
+            IntraOpBinding inner(1);
+            EXPECT_EQ(ThreadPool::bound()->threadCount(), 1);
+        }
+        EXPECT_EQ(ThreadPool::bound(), outerPool);
+    }
+    EXPECT_EQ(ThreadPool::bound(), nullptr);
+}
+
+TEST(IntraOpBinding, BudgetShareSplitsTheGlobalPool)
+{
+    ThreadPool::setGlobalThreads(4);
+    EXPECT_EQ(ThreadPool::budgetShare(1), 4);
+    EXPECT_EQ(ThreadPool::budgetShare(2), 2);
+    EXPECT_EQ(ThreadPool::budgetShare(3), 1);
+    EXPECT_EQ(ThreadPool::budgetShare(4), 1);
+    EXPECT_EQ(ThreadPool::budgetShare(16), 1);  // never below one
+    EXPECT_EQ(ThreadPool::budgetShare(0), 4);
+    for (int64_t workers = 1; workers <= 4; ++workers)
+        EXPECT_LE(workers * ThreadPool::budgetShare(workers), 4);
+}
+
 TEST(ScratchArena, AllocationsAreAligned)
 {
     ScratchArena arena;

@@ -8,13 +8,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "loadgen/loadgen.h"
 #include "loadgen/trace.h"
+#include "sim/real_executor.h"
 #include "sim/virtual_executor.h"
 #include "test_doubles.h"
 
@@ -290,6 +293,41 @@ TEST(TraceArrivals, EndToEndDiurnalOpenLoop)
     ASSERT_EQ(b.timeline.size(), a.timeline.size());
     for (size_t i = 0; i < a.timeline.size(); ++i)
         EXPECT_EQ(a.timeline[i].scheduled, b.timeline[i].scheduled);
+}
+
+/** A QSL whose staging takes wall time, like one that reads images. */
+class SlowStagingQsl : public FakeQsl
+{
+  public:
+    using FakeQsl::FakeQsl;
+
+    void
+    loadSamplesToRam(const std::vector<QuerySampleIndex> &idx) override
+    {
+        std::this_thread::sleep_for(std::chrono::milliseconds(30));
+        FakeQsl::loadSamplesToRam(idx);
+    }
+};
+
+/**
+ * A wall-clock run anchors its schedule after staging: 30 ms spent in
+ * loadSamplesToRam must not make the first scheduled queries late.
+ */
+TEST(TraceArrivals, StagingDoesNotDelayFirstQueries)
+{
+    sim::RealExecutor ex;
+    ParallelSut sut(ex, kNsPerMs / 10);
+    SlowStagingQsl qsl(512, 128);
+    TestSettings s = TestSettings::forScenario(Scenario::Server);
+    s.maxQueryCount = 50;
+    s.serverTargetQps = 1000.0;
+    LoadGen lg(ex);
+    const TestResult r = lg.startTest(sut, qsl, s);
+
+    EXPECT_EQ(r.droppedQueries, 0u);
+    EXPECT_EQ(r.queryCount, 50u);
+    EXPECT_GT(qsl.loadedCount_, 0u);
+    EXPECT_LT(r.maxIssueDriftNs, 5 * kNsPerMs);
 }
 
 } // namespace

@@ -474,7 +474,7 @@ TEST(ServingSutSharded, EndToEndCompletesEverything)
     options.shards = 2;
     options.workers = 2;
     options.maxBatch = 4;
-    options.batchTimeoutNs = 0;  // dispatch on every enqueue
+    options.batchTimeoutNs = 0;  // demand dispatch
     options.queueCapacityBatches = 0;
     ServingSut sut(executor, inference, options);
     EXPECT_EQ(sut.resolvedMode(), WorkerMode::Threads);

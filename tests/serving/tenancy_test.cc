@@ -246,10 +246,13 @@ TEST(ModelRegistry, ConstantBytesDedupedByIdentity)
  * The TSan target: concurrent lookups against publish/swap/evict.
  * Readers hold handles across simulated work while a writer swaps
  * and evicts the same names; every acquired handle must stay fully
- * usable regardless of registry churn.
+ * usable regardless of registry churn. The writer churns until the
+ * readers have served a minimum count as well as for its 200 rounds,
+ * so the lookups always overlap swaps however the threads schedule.
  */
 TEST(ModelRegistry, ConcurrentLookupSwapEvictStress)
 {
+    constexpr uint64_t kMinServed = 256;
     ModelRegistry registry;
     const std::vector<std::string> names = {"a", "b", "c"};
     for (const auto &name : names)
@@ -275,7 +278,8 @@ TEST(ModelRegistry, ConcurrentLookupSwapEvictStress)
     }
 
     std::thread writer([&] {
-        for (int round = 0; round < 200; ++round) {
+        for (int round = 0;
+             round < 200 || served.load() < kMinServed; ++round) {
             const std::string &name = names[round % names.size()];
             if (round % 5 == 4) {
                 registry.evict(name);
@@ -294,6 +298,7 @@ TEST(ModelRegistry, ConcurrentLookupSwapEvictStress)
         reader.join();
 
     EXPECT_GT(served.load(), 0u);
+    EXPECT_GE(served.load(), kMinServed);
     EXPECT_EQ(registry.size(), names.size());
     RegistrySnapshot snapshot = registry.snapshot();
     EXPECT_GE(snapshot.swaps, 1u);
