@@ -16,7 +16,11 @@
 # continuous batcher's decode loop (lock-free admission ring, threaded
 # churn, lane routing) with the streaming TokenStream scenario, and
 # demand dispatch with the per-worker CPU budget (concurrent producers
-# against window-0 batchers, workers bound to their intra-op share).
+# against window-0 batchers, workers bound to their intra-op share),
+# and the one batch-outcome policy driven through every worker pool
+# (PoolOutcome). The intra-op pool's zero-allocation test runs with
+# the ThreadPool suite but skips itself under the sanitizers, whose
+# allocators it cannot count.
 # The AddressSanitizer build also runs UndefinedBehaviorSanitizer and
 # fails on its first report.
 #
@@ -39,7 +43,7 @@ command -v ninja > /dev/null 2>&1 && GENERATOR="-G Ninja"
 run_suite() {
     build_dir="$1"
     ctest --test-dir "$build_dir" --output-on-failure \
-          -R 'BoundedQueue|DynamicBatcher|ThreadWorkerPool|EventWorkerPool|ServingSut|HarnessServing|ProfileBatchInference|CircuitBreaker|AdmissionController|ResilientInference|CompletionTracker|FaultInjecting|LoadGen|Scenario|Server|Offline|RealExecutor|VirtualExecutor|Logging|ThreadPool|ScratchArena|GemmParallel|ConvParallel|GemmInt8|GemmPrepacked|Int8Prepacked|CompiledModel|ModelGraph|MemoryPlanner|ModelRegistry|DagPipeline|ServingPlatform|TenantSut|MultiTenantServing|MpscRing|ShardRouting|ShardedWorkerPool|ServingSutSharded|ShardedPlatform|ServingStats|BoundedQueuePopFor|ConvDirect|NchwcLayout|LayoutPropagation|Ewma|HysteresisLatch|ShardAutoscaler|ElasticShards|AutoscaledServingSut|TraceArrivals|BurstyArrivalProperties|MeasurementAudit|ParseRecordedTrace|ContinuousBatcher|DecoderEngine|DecoderModel|DecodeStatePool|TokenStream|DemandDispatch|DemandQueue|CpuBudget|IntraOpBinding'
+          -R 'BoundedQueue|DynamicBatcher|ThreadWorkerPool|EventWorkerPool|PoolOutcome|ServingSut|HarnessServing|ProfileBatchInference|CircuitBreaker|AdmissionController|ResilientInference|CompletionTracker|FaultInjecting|LoadGen|Scenario|Server|Offline|RealExecutor|VirtualExecutor|Logging|ThreadPool|ScratchArena|GemmParallel|ConvParallel|GemmInt8|GemmPrepacked|Int8Prepacked|CompiledModel|ModelGraph|MemoryPlanner|ModelRegistry|DagPipeline|ServingPlatform|TenantSut|MultiTenantServing|MpscRing|ShardRouting|ShardedWorkerPool|ServingSutSharded|ShardedPlatform|ServingStats|BoundedQueuePopFor|ConvDirect|NchwcLayout|LayoutPropagation|Ewma|HysteresisLatch|ShardAutoscaler|ElasticShards|AutoscaledServingSut|TraceArrivals|BurstyArrivalProperties|MeasurementAudit|ParseRecordedTrace|ContinuousBatcher|DecoderEngine|DecoderModel|DecodeStatePool|TokenStream|DemandDispatch|DemandQueue|CpuBudget|IntraOpBinding'
 }
 
 if [ "$MODE" = "tier1" ]; then

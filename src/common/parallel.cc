@@ -27,25 +27,10 @@ defaultThreadCount()
 std::mutex g_pool_mutex;
 std::shared_ptr<ThreadPool> g_pool;
 
-} // namespace
+/** Low half of the chunk cursor: the next chunk; high half: the tag. */
+constexpr uint64_t kChunkMask = 0xFFFFFFFFu;
 
-/**
- * A fork-join job. Chunks are claimed with an atomic cursor so load
- * imbalance between chunks self-corrects; `completed` releases the
- * workers' writes to the caller, which acquires it while waiting.
- */
-struct ThreadPool::Job
-{
-    std::function<void(int64_t, int64_t)> fn;
-    int64_t begin = 0;
-    int64_t end = 0;
-    int64_t grain = 1;
-    int64_t chunkCount = 0;
-    std::atomic<int64_t> nextChunk{0};
-    std::atomic<int64_t> completed{0};
-    std::mutex doneMutex;
-    std::condition_variable doneCv;
-};
+} // namespace
 
 ThreadPool::ThreadPool(int threads)
     : threadCount_(std::max(threads, 1))
@@ -80,24 +65,32 @@ ThreadPool::bound()
 }
 
 void
-ThreadPool::runChunks(const std::shared_ptr<Job> &job)
+ThreadPool::runChunks(const JobView &job)
 {
     const bool was_in_worker = t_in_worker;
     t_in_worker = true;
+    uint64_t cursor = cursor_.load(std::memory_order_relaxed);
     for (;;) {
-        const int64_t chunk =
-            job->nextChunk.fetch_add(1, std::memory_order_relaxed);
-        if (chunk >= job->chunkCount)
+        // Claim by CAS, never by fetch_add: an increment that lands
+        // after the cursor was re-tagged would skip the next job's
+        // chunk. A stale load only makes the CAS fail and reload.
+        if ((cursor >> 32) != job.tag ||
+            (cursor & kChunkMask) >= job.chunkCount)
             break;
-        const int64_t b = job->begin + chunk * job->grain;
-        const int64_t e = std::min(b + job->grain, job->end);
-        job->fn(b, e);
-        if (job->completed.fetch_add(1, std::memory_order_acq_rel) + 1 ==
-            job->chunkCount) {
+        if (!cursor_.compare_exchange_weak(cursor, cursor + 1,
+                                           std::memory_order_relaxed))
+            continue;
+        const int64_t chunk = static_cast<int64_t>(cursor & kChunkMask);
+        const int64_t b = job.begin + chunk * job.grain;
+        const int64_t e = std::min(b + job.grain, job.end);
+        job.fn(job.obj, b, e);
+        if (completed_.fetch_add(1, std::memory_order_acq_rel) + 1 ==
+            job.chunkCount) {
             LockProbe::noteAcquire();
-            std::lock_guard<std::mutex> lock(job->doneMutex);
-            job->doneCv.notify_all();
+            std::lock_guard<std::mutex> lock(doneMutex_);
+            doneCv_.notify_all();
         }
+        cursor = cursor_.load(std::memory_order_relaxed);
     }
     t_in_worker = was_in_worker;
 }
@@ -107,7 +100,7 @@ ThreadPool::workerLoop()
 {
     uint64_t seen_epoch = 0;
     for (;;) {
-        std::shared_ptr<Job> job;
+        JobView job;
         {
             LockProbe::noteAcquire();
             std::unique_lock<std::mutex> lock(mutex_);
@@ -117,23 +110,24 @@ ThreadPool::workerLoop()
             if (stop_)
                 return;
             seen_epoch = epoch_;
-            job = job_;  // may be null if the job already finished
+            // May describe a job that already finished: its tag no
+            // longer matches a claimable cursor, so nothing runs.
+            job = job_;
         }
-        if (job)
-            runChunks(job);
+        runChunks(job);
     }
 }
 
 void
-ThreadPool::parallelFor(int64_t begin, int64_t end, int64_t min_grain,
-                        const std::function<void(int64_t, int64_t)> &fn)
+ThreadPool::run(int64_t begin, int64_t end, int64_t min_grain, void *obj,
+                ChunkFn fn)
 {
     if (end <= begin)
         return;
     const int64_t n = end - begin;
     min_grain = std::max<int64_t>(min_grain, 1);
     if (threadCount_ <= 1 || t_in_worker || n <= min_grain) {
-        fn(begin, end);
+        fn(obj, begin, end);
         return;
     }
 
@@ -143,38 +137,37 @@ ThreadPool::parallelFor(int64_t begin, int64_t end, int64_t min_grain,
     const int64_t grain =
         std::max(min_grain, (n + target_chunks - 1) / target_chunks);
 
-    auto job = std::make_shared<Job>();
-    job->fn = fn;
-    job->begin = begin;
-    job->end = end;
-    job->grain = grain;
-    job->chunkCount = (n + grain - 1) / grain;
+    JobView job;
+    job.obj = obj;
+    job.fn = fn;
+    job.begin = begin;
+    job.end = end;
+    job.grain = grain;
+    job.chunkCount = static_cast<uint64_t>((n + grain - 1) / grain);
 
     LockProbe::noteAcquire();
     std::lock_guard<std::mutex> run_lock(runMutex_);
     {
+        // The previous job's chunks all completed before its caller
+        // returned, so nothing still counts into completed_ or claims
+        // from the cursor being re-tagged here.
         LockProbe::noteAcquire();
         std::lock_guard<std::mutex> lock(mutex_);
+        job.tag = ++epoch_ & kChunkMask;
         job_ = job;
-        ++epoch_;
+        completed_.store(0, std::memory_order_relaxed);
+        cursor_.store(job.tag << 32, std::memory_order_relaxed);
     }
     cv_.notify_all();
 
     runChunks(job);  // the caller is a worker too
 
-    {
-        LockProbe::noteAcquire();
-        std::unique_lock<std::mutex> lock(job->doneMutex);
-        job->doneCv.wait(lock, [&] {
-            return job->completed.load(std::memory_order_acquire) ==
-                   job->chunkCount;
-        });
-    }
-    {
-        LockProbe::noteAcquire();
-        std::lock_guard<std::mutex> lock(mutex_);
-        job_.reset();
-    }
+    LockProbe::noteAcquire();
+    std::unique_lock<std::mutex> lock(doneMutex_);
+    doneCv_.wait(lock, [&] {
+        return completed_.load(std::memory_order_acquire) ==
+               job.chunkCount;
+    });
 }
 
 std::shared_ptr<ThreadPool>

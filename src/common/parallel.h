@@ -32,11 +32,10 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <thread>
-#include <utility>
+#include <type_traits>
 #include <vector>
 
 namespace mlperf {
@@ -60,10 +59,21 @@ class ThreadPool
      * Run fn(chunk_begin, chunk_end) over [begin, end) split into
      * contiguous chunks of at least min_grain iterations. Blocks
      * until the whole range is done; the caller participates. Calls
-     * from inside a pool worker run the range inline.
+     * from inside a pool worker run the range inline. Allocates
+     * nothing: the pool owns its one job slot and holds @p fn by
+     * reference, which the fork-join call keeps alive.
      */
-    void parallelFor(int64_t begin, int64_t end, int64_t min_grain,
-                     const std::function<void(int64_t, int64_t)> &fn);
+    template <typename Fn>
+    void
+    parallelFor(int64_t begin, int64_t end, int64_t min_grain, Fn &&fn)
+    {
+        using F = std::remove_reference_t<Fn>;
+        run(begin, end, min_grain,
+            const_cast<void *>(static_cast<const void *>(&fn)),
+            [](void *obj, int64_t b, int64_t e) {
+                (*static_cast<F *>(obj))(b, e);
+            });
+    }
 
     /** True on a thread currently executing pool work. */
     static bool inWorker();
@@ -92,18 +102,48 @@ class ThreadPool
     static void setGlobalThreads(int threads);
 
   private:
-    struct Job;
+    /** Type-erased chunk body: fn(obj, chunk_begin, chunk_end). */
+    using ChunkFn = void (*)(void *, int64_t, int64_t);
 
+    /**
+     * What a thread copies out of the job slot to work on one job.
+     * `tag` is the job's epoch: chunks are claimed only while the
+     * cursor still carries it.
+     */
+    struct JobView
+    {
+        void *obj = nullptr;
+        ChunkFn fn = nullptr;
+        int64_t begin = 0;
+        int64_t end = 0;
+        int64_t grain = 1;
+        uint64_t chunkCount = 0;
+        uint64_t tag = 0;
+    };
+
+    void run(int64_t begin, int64_t end, int64_t min_grain, void *obj,
+             ChunkFn fn);
     void workerLoop();
-    static void runChunks(const std::shared_ptr<Job> &job);
+    void runChunks(const JobView &job);
 
     const int threadCount_;
     std::vector<std::thread> threads_;
     std::mutex mutex_;              //!< guards job_/epoch_/stop_
     std::condition_variable cv_;
-    std::shared_ptr<Job> job_;
+    /** The one job slot: jobs run one at a time under runMutex_. */
+    JobView job_;
     uint64_t epoch_ = 0;
     bool stop_ = false;
+    /**
+     * Chunk cursor tagged with the job's epoch: high 32 bits the tag,
+     * low 32 bits the next chunk. A worker that wakes late for job n
+     * holds tag n, so its claim fails once job n+1 re-tags the cursor
+     * and it never runs a chunk of a job it did not copy.
+     */
+    std::atomic<uint64_t> cursor_{0};
+    std::atomic<uint64_t> completed_{0};
+    std::mutex doneMutex_;
+    std::condition_variable doneCv_;
     std::mutex runMutex_;           //!< serializes parallelFor callers
 };
 
@@ -132,11 +172,11 @@ class IntraOpBinding
 
 /**
  * parallelFor on the calling thread's bound pool, else the global
- * pool. A template so that ranges which run inline (width-1 pool,
- * nested call from a worker, or range no larger than one grain)
- * invoke the callable directly without the std::function
- * type-erasure heap allocation — the compiled-plan executor relies on
- * this for its zero-allocations-per-query steady state.
+ * pool. Ranges that run inline (width-1 pool, nested call from a
+ * worker, or range no larger than one grain) invoke the callable
+ * directly; pooled ranges hand the pool a reference to it. Neither
+ * allocates — the compiled-plan executor relies on this for its
+ * zero-allocations-per-query steady state.
  */
 template <typename Fn>
 inline void
@@ -159,9 +199,7 @@ parallelFor(int64_t begin, int64_t end, int64_t min_grain, Fn &&fn)
         fn(begin, end);
         return;
     }
-    pool->parallelFor(
-        begin, end, min_grain,
-        std::function<void(int64_t, int64_t)>(std::forward<Fn>(fn)));
+    pool->parallelFor(begin, end, min_grain, fn);
 }
 
 } // namespace mlperf

@@ -151,12 +151,9 @@ runServer(const sut::HardwareProfile &profile, models::TaskType task,
     };
 
     // Analytical roofline as the initial upper bound.
-    sim::VirtualExecutor probe_executor;
-    sut::SimulatedSut roofline(probe_executor, profile,
-                               sut::modelCostFor(task), {},
-                               options.sutSeed);
     const double hi = std::max(
-        1.0, roofline.steadyStateThroughput(
+        1.0, sut::steadyStateThroughput(
+                 profile, sut::modelCostFor(task),
                  std::max<int64_t>(1, profile.maxBatch)));
 
     const QpsSearchResult search =
@@ -325,16 +322,13 @@ runMultiStream(const sut::HardwareProfile &profile,
         return lg.startTest(system, qsl, settings);
     };
 
-    sim::VirtualExecutor probe_executor;
-    sut::SimulatedSut roofline(probe_executor, profile,
-                               sut::modelCostFor(task), {},
-                               options.sutSeed);
     const double interval_s =
         static_cast<double>(base.multiStreamArrivalNs) /
         static_cast<double>(sim::kNsPerSec);
     const uint64_t hi = std::max<uint64_t>(
         1, static_cast<uint64_t>(
-               roofline.steadyStateThroughput(
+               sut::steadyStateThroughput(
+                   profile, sut::modelCostFor(task),
                    std::max<int64_t>(1, profile.maxBatch)) *
                interval_s * 2.0));
 

@@ -3,7 +3,7 @@
  * SLO-driven shard autoscaler for the sharded serving runtime.
  *
  * The serving runtime's capacity knob is its active shard count:
- * each shard brings a batcher, a bounded queue, and pinned workers.
+ * each shard brings a batcher, a bounded queue, and workers.
  * Fixed provisioning must choose between wasting capacity at the
  * trough of a diurnal load curve and violating the latency SLO at its
  * peak. The autoscaler closes that loop: a controller thread samples

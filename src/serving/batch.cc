@@ -1,6 +1,10 @@
 #include "serving/batch.h"
 
 #include <cassert>
+#include <exception>
+
+#include "common/lock_probe.h"
+#include "serving/serving_stats.h"
 
 namespace mlperf {
 namespace serving {
@@ -98,6 +102,90 @@ splitExpired(Batch &batch, sim::Tick now)
     }
     batch.items = std::move(live);
     return expired;
+}
+
+CompletionRecord
+runBatchRecord(sim::Executor &executor, BatchInference &inference,
+               Batch &&batch, sim::Tick dispatched_at, bool tracker_active)
+{
+    using Kind = CompletionRecord::Kind;
+    CompletionRecord record;
+    try {
+        record.responses =
+            inference.runBatch(batchSamples(batch), batchMeta(batch));
+        record.kind = Kind::Done;
+    } catch (const InferenceFault &fault) {
+        record.kind = fault.kind() == FaultKind::DropCompletion &&
+                              tracker_active
+                          ? Kind::Dropped
+                          : Kind::Failed;
+    } catch (const std::exception &) {
+        record.kind = Kind::Failed;
+    }
+    const sim::Tick end = executor.now();
+    record.locksAtReturn = LockProbe::threadAcquisitions();
+    if (record.kind == Kind::Failed)
+        record.responses =
+            errorResponses(batch, loadgen::ResponseStatus::Failed);
+    record.batch = std::move(batch);
+    record.dispatchedAt = dispatched_at;
+    record.busyNs = end >= dispatched_at ? end - dispatched_at : 0;
+    return record;
+}
+
+CompletionRecord
+expiredRecord(Batch &batch, sim::Tick now)
+{
+    CompletionRecord record;
+    record.locksAtReturn = LockProbe::threadAcquisitions();
+    record.batch = splitExpired(batch, now);
+    if (record.batch.items.empty())
+        return record;
+    record.kind = CompletionRecord::Kind::Expired;
+    record.responses = errorResponses(record.batch,
+                                      loadgen::ResponseStatus::Timeout);
+    record.dispatchedAt = now;
+    return record;
+}
+
+void
+applyRecord(const CompletionRecord &record, ServingStats &stats,
+            sim::Tick slo_target_ns)
+{
+    using Kind = CompletionRecord::Kind;
+    const Batch &batch = record.batch;
+    const uint64_t samples = batch.items.size();
+    uint64_t violations = samples;
+    switch (record.kind) {
+      case Kind::Done:
+        stats.recordDispatch(batch, record.dispatchedAt);
+        completeBatch(batch, record.responses);
+        stats.recordBatchDone(samples, record.busyNs);
+        if (slo_target_ns != 0) {
+            const sim::Tick done = record.dispatchedAt + record.busyNs;
+            violations = 0;
+            for (const BatchItem &item : batch.items)
+                violations += done > item.enqueuedAt + slo_target_ns;
+        }
+        break;
+      case Kind::Failed:
+        stats.recordDispatch(batch, record.dispatchedAt);
+        stats.recordBatchFailed(samples, record.busyNs);
+        completeBatch(batch, record.responses);
+        break;
+      case Kind::Expired:
+        stats.recordExpired(samples);
+        completeBatch(batch, record.responses);
+        break;
+      case Kind::Dropped:
+        stats.recordDispatch(batch, record.dispatchedAt);
+        stats.recordDroppedCompletion(samples);
+        break;
+      case Kind::None:
+        return;
+    }
+    if (slo_target_ns != 0)
+        stats.recordSloOutcome(samples, violations);
 }
 
 } // namespace serving

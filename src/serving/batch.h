@@ -13,6 +13,7 @@
 #ifndef MLPERF_SERVING_BATCH_H
 #define MLPERF_SERVING_BATCH_H
 
+#include <cstdint>
 #include <vector>
 
 #include "loadgen/sut.h"
@@ -22,6 +23,8 @@
 
 namespace mlperf {
 namespace serving {
+
+class ServingStats;
 
 /** One sample waiting for (or undergoing) inference. */
 struct BatchItem
@@ -92,12 +95,68 @@ BatchMeta batchMeta(const Batch &batch);
 
 /**
  * Remove the items of @p batch whose deadline passed at @p now and
- * return them as their own batch (empty when none expired). The
- * caller completes the expired batch with Timeout status and counts
- * it; both worker-pool flavors and the sharded runtime share this
- * dispatch-time shed logic.
+ * return them as their own batch (empty when none expired).
  */
 Batch splitExpired(Batch &batch, sim::Tick now);
+
+// ---- The batch-outcome policy. Every worker pool reaches it only
+//      through the three functions below (DESIGN.md, "One outcome
+//      path").
+
+/** What became of a batch a worker took. */
+struct CompletionRecord
+{
+    enum class Kind : uint8_t
+    {
+        None,     //!< default-constructed; nothing to apply
+        Done,     //!< inference succeeded; responses are real answers
+        Failed,   //!< batch fault; responses carry Failed status
+        Expired,  //!< deadline passed in queue; Timeout responses
+        Dropped,  //!< chaos DropCompletion; no responses on purpose
+    };
+
+    Kind kind = Kind::None;
+    Batch batch;
+    std::vector<loadgen::QuerySampleResponse> responses;
+    sim::Tick dispatchedAt = 0;  //!< worker pickup time (time-in-queue)
+    sim::Tick busyNs = 0;        //!< worker busy time (service time)
+    /** LockProbe count once inference returned: a publisher's
+     *  lock-free region starts here. */
+    uint64_t locksAtReturn = 0;
+};
+
+/**
+ * Run @p batch through @p inference and classify the outcome: Done
+ * with the answers; Failed with Failed statuses after an
+ * InferenceFault or any other exception; Dropped after a
+ * DropCompletion fault when @p tracker_active (a CompletionTracker
+ * will reap the samples — the failure being simulated; without one
+ * the batch fails instead, so the run never hangs). Busy time is
+ * executor.now() minus @p dispatched_at.
+ */
+CompletionRecord runBatchRecord(sim::Executor &executor,
+                                BatchInference &inference, Batch &&batch,
+                                sim::Tick dispatched_at,
+                                bool tracker_active);
+
+/**
+ * Move the items of @p batch whose deadline passed at @p now into an
+ * Expired record with Timeout responses, so no worker slot is spent
+ * on an answer nobody will accept. Kind None when nothing expired.
+ */
+CompletionRecord expiredRecord(Batch &batch, sim::Tick now);
+
+/**
+ * Turn @p record into ServingStats calls and delegate completions.
+ * Done: time in queue (from the recorded pickup tick), delivery, then
+ * the batch counters. Failed: time in queue, counters, delivery.
+ * Expired: counter, delivery. Dropped: time in queue and counter, no
+ * delivery. With @p slo_target_ns nonzero every sample is also judged
+ * against that enqueue-to-completion SLO; failed, expired and dropped
+ * samples are violations.
+ */
+void applyRecord(const CompletionRecord &record, ServingStats &stats,
+                 sim::Tick slo_target_ns = 0);
 
 } // namespace serving
 } // namespace mlperf

@@ -108,7 +108,6 @@ ServingSut::ServingSut(sim::Executor &executor,
                 : std::max<size_t>(
                       1, options_.queueCapacityBatches /
                              static_cast<size_t>(shards));
-        sharding.pinThreads = options_.pinThreads;
         sharding.stealWhenIdle = options_.stealWhenIdle;
         sharding.trackerActive = trackerActive;
         sharding.sloTargetNs = options_.autoscale.sloTargetNs;

@@ -105,14 +105,12 @@ struct ServingOptions
     //      contention for shards to remove).
     /**
      * Split the runtime into this many independent shards, each with
-     * its own batcher, queue, and pinned workers; samples route to a
+     * its own batcher, queue, and workers; samples route to a
      * shard by hash of their id and completions flow through lock-free
      * per-shard rings (see serving/shard.h). Clamped to [1, workers];
      * `workers` is divided evenly across shards.
      */
     int64_t shards = 1;
-    /** Pin each shard's workers to consecutive CPUs (Linux only). */
-    bool pinThreads = false;
     /** Let idle workers pull from other shards' queues. */
     bool stealWhenIdle = true;
     /**

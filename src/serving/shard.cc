@@ -2,15 +2,9 @@
 
 #include <algorithm>
 #include <chrono>
-#include <exception>
 
 #include "common/lock_probe.h"
 #include "common/parallel.h"
-
-#if defined(__linux__)
-#include <pthread.h>
-#include <sched.h>
-#endif
 
 namespace mlperf {
 namespace serving {
@@ -36,22 +30,6 @@ sanitized(ShardOptions options)
         options.initialActiveShards = options.shards;
     }
     return options;
-}
-
-void
-pinToCpu(unsigned cpu)
-{
-#if defined(__linux__)
-    const unsigned cpus = std::max(1u, std::thread::hardware_concurrency());
-    cpu_set_t set;
-    CPU_ZERO(&set);
-    CPU_SET(cpu % cpus, &set);
-    // Best effort: a restricted affinity mask (cgroups, taskset) can
-    // make this fail, and the runtime is correct unpinned.
-    pthread_setaffinity_np(pthread_self(), sizeof(set), &set);
-#else
-    (void)cpu;
-#endif
 }
 
 } // namespace
@@ -97,13 +75,8 @@ ShardedWorkerPool::spawnShardWorkers(size_t index)
         static_cast<size_t>(options_.workersPerShard);
     Shard &shard = *shards_[index];
     shard.workers.reserve(perShard);
-    for (size_t w = 0; w < perShard; ++w) {
-        shard.workers.emplace_back([this, index, w, perShard] {
-            if (options_.pinThreads)
-                pinToCpu(static_cast<unsigned>(index * perShard + w));
-            workerLoop(index);
-        });
-    }
+    for (size_t w = 0; w < perShard; ++w)
+        shard.workers.emplace_back([this, index] { workerLoop(index); });
 }
 
 ShardedWorkerPool::~ShardedWorkerPool()
@@ -335,73 +308,24 @@ ShardedWorkerPool::process(size_t shard_index, Batch &&batch)
 {
     Shard &shard = *shards_[shard_index];
     const sim::Tick start = executor_.now();
-
-    Batch expired = splitExpired(batch, start);
-    if (!expired.items.empty()) {
-        const uint64_t locksBefore = LockProbe::threadAcquisitions();
-        CompletionRecord record;
-        record.kind = CompletionRecord::Kind::Expired;
-        record.responses = errorResponses(
-            expired, loadgen::ResponseStatus::Timeout);
-        record.batch = std::move(expired);
-        record.dispatchedAt = start;
-        publish(shard, std::move(record), locksBefore);
-    }
+    CompletionRecord expired = expiredRecord(batch, start);
+    if (expired.kind != CompletionRecord::Kind::None)
+        publish(shard, std::move(expired));
     if (batch.items.empty())
         return;
-
-    try {
-        auto responses =
-            inference_.runBatch(batchSamples(batch), batchMeta(batch));
-        const sim::Tick end = executor_.now();
-        const uint64_t locksBefore = LockProbe::threadAcquisitions();
-        CompletionRecord record;
-        record.kind = CompletionRecord::Kind::Done;
-        record.responses = std::move(responses);
-        record.batch = std::move(batch);
-        record.dispatchedAt = start;
-        record.busyNs = end >= start ? end - start : 0;
-        publish(shard, std::move(record), locksBefore);
-    } catch (const InferenceFault &fault) {
-        const sim::Tick end = executor_.now();
-        const uint64_t locksBefore = LockProbe::threadAcquisitions();
-        CompletionRecord record;
-        // Same policy as ThreadWorkerPool::handleBatchFault: drop the
-        // completion only when a tracker stands by to reap it.
-        if (fault.kind() == FaultKind::DropCompletion &&
-            options_.trackerActive) {
-            record.kind = CompletionRecord::Kind::Dropped;
-        } else {
-            record.kind = CompletionRecord::Kind::Failed;
-            record.responses = errorResponses(
-                batch, loadgen::ResponseStatus::Failed);
-        }
-        record.batch = std::move(batch);
-        record.dispatchedAt = start;
-        record.busyNs = end >= start ? end - start : 0;
-        publish(shard, std::move(record), locksBefore);
-    } catch (const std::exception &) {
-        const sim::Tick end = executor_.now();
-        const uint64_t locksBefore = LockProbe::threadAcquisitions();
-        CompletionRecord record;
-        record.kind = CompletionRecord::Kind::Failed;
-        record.responses =
-            errorResponses(batch, loadgen::ResponseStatus::Failed);
-        record.batch = std::move(batch);
-        record.dispatchedAt = start;
-        record.busyNs = end >= start ? end - start : 0;
-        publish(shard, std::move(record), locksBefore);
-    }
+    publish(shard, runBatchRecord(executor_, inference_, std::move(batch),
+                                  start, options_.trackerActive));
 }
 
 void
-ShardedWorkerPool::publish(Shard &shard, CompletionRecord &&record,
-                           uint64_t locks_before)
+ShardedWorkerPool::publish(Shard &shard, CompletionRecord &&record)
 {
+    const uint64_t locks_before = record.locksAtReturn;
     if (shard.ring.tryPush(record)) {
         // The zero-mutex contract is measured, not assumed: any
-        // instrumented lock taken between the locks_before snapshot
-        // (right after runBatch returned) and this point shows up in
+        // instrumented lock taken between the record's locksAtReturn
+        // snapshot (right after runBatch returned, or before the
+        // expired split) and this point shows up in
         // fastPathLockAcquisitions(), which the shard tests pin to 0.
         const uint64_t delta =
             LockProbe::threadAcquisitions() - locks_before;
@@ -415,7 +339,7 @@ ShardedWorkerPool::publish(Shard &shard, CompletionRecord &&record,
     // and make the event visible — a nonzero fallback count at sane
     // ring sizes means the drainer is the bottleneck.
     ringFallbacks_.fetch_add(1, kRelaxed);
-    applyRecord(record);
+    applyRecord(record, stats_, options_.sloTargetNs);
 }
 
 void
@@ -433,62 +357,6 @@ ShardedWorkerPool::wakeDrainerIfIdle()
     wakeCv_.notify_one();
 }
 
-void
-ShardedWorkerPool::applyRecord(CompletionRecord &record)
-{
-    switch (record.kind) {
-      case CompletionRecord::Kind::Done:
-        stats_.recordDispatch(record.batch, record.dispatchedAt);
-        completeBatch(record.batch, record.responses);
-        stats_.recordBatchDone(record.batch.items.size(),
-                               record.busyNs);
-        if (options_.sloTargetNs != 0) {
-            // Enqueue-to-completion latency per sample, judged at the
-            // drainer so the worker fast path stays untouched.
-            const sim::Tick done = record.dispatchedAt + record.busyNs;
-            uint64_t violations = 0;
-            for (const BatchItem &item : record.batch.items) {
-                const sim::Tick latency =
-                    done >= item.enqueuedAt ? done - item.enqueuedAt
-                                            : 0;
-                if (latency > options_.sloTargetNs)
-                    ++violations;
-            }
-            stats_.recordSloOutcome(record.batch.items.size(),
-                                    violations);
-        }
-        break;
-      case CompletionRecord::Kind::Failed:
-        stats_.recordDispatch(record.batch, record.dispatchedAt);
-        stats_.recordBatchFailed(record.batch.items.size(),
-                                 record.busyNs);
-        completeBatch(record.batch, record.responses);
-        if (options_.sloTargetNs != 0) {
-            stats_.recordSloOutcome(record.batch.items.size(),
-                                    record.batch.items.size());
-        }
-        break;
-      case CompletionRecord::Kind::Expired:
-        stats_.recordExpired(record.batch.items.size());
-        completeBatch(record.batch, record.responses);
-        if (options_.sloTargetNs != 0) {
-            stats_.recordSloOutcome(record.batch.items.size(),
-                                    record.batch.items.size());
-        }
-        break;
-      case CompletionRecord::Kind::Dropped:
-        stats_.recordDispatch(record.batch, record.dispatchedAt);
-        stats_.recordDroppedCompletion(record.batch.items.size());
-        if (options_.sloTargetNs != 0) {
-            stats_.recordSloOutcome(record.batch.items.size(),
-                                    record.batch.items.size());
-        }
-        break;
-      case CompletionRecord::Kind::None:
-        break;
-    }
-}
-
 bool
 ShardedWorkerPool::drainRingsOnce()
 {
@@ -496,7 +364,7 @@ ShardedWorkerPool::drainRingsOnce()
     CompletionRecord record;
     for (auto &shard : shards_) {
         while (shard->ring.tryPop(record)) {
-            applyRecord(record);
+            applyRecord(record, stats_, options_.sloTargetNs);
             any = true;
         }
     }

@@ -1,8 +1,8 @@
 /**
  * @file
  * Sharded serving runtime: N independent shards, each with its own
- * bounded queue and pinned worker threads, publishing completions
- * into per-shard lock-free rings drained by one drainer thread.
+ * bounded queue and worker threads, publishing completions into
+ * per-shard lock-free rings drained by one drainer thread.
  *
  * Why: at high core counts the single-shard runtime tops out on
  * shared locks — one batcher, one MPMC queue, and mutex-guarded
@@ -11,12 +11,13 @@
  * shard by hash, live their whole queued life inside it, and the
  * only cross-shard interaction is idle-only work stealing. The
  * completion/stats path is replaced wholesale: a worker finishing a
- * batch publishes one CompletionRecord into its shard's MpscRing —
- * a CAS and a release store, no mutex — and returns to pulling work.
- * The single drainer thread owns everything downstream: per-stage
- * histogram merges, CompletionTracker dedup (it is the only
- * steady-state caller; only the deadline reaper ever contends), and
- * delegate delivery.
+ * batch publishes one CompletionRecord (serving/batch.h) into its
+ * shard's MpscRing — a CAS and a release store, no mutex — and
+ * returns to pulling work. The single drainer thread applies the
+ * records with the same applyRecord every pool uses, so it owns
+ * everything downstream: per-stage histogram merges,
+ * CompletionTracker dedup (it is the only steady-state caller; only
+ * the deadline reaper ever contends), and delegate delivery.
  *
  * Steady-state locking contract, checked by LockProbe in the shard
  * tests: a worker's path from runBatch() returning to the record
@@ -29,8 +30,7 @@
  * never sleeps, so the fast path never pays it (a 1 ms wait bound
  * on the drainer makes the wake-up race benign).
  *
- * Pinned workers give each shard cache/NUMA locality for free:
- * per-thread ScratchArenas become per-shard arenas, and the
+ * Per-thread ScratchArenas become per-shard arenas, and the
  * prepacked constant section is shared read-only, so shards need no
  * constant replication. Every worker binds its share of the intra-op
  * budget, counting the autoscaler's ceiling of shards x workers.
@@ -68,17 +68,15 @@ struct ShardOptions
 {
     /** Independent shards (>= 1). */
     int64_t shards = 2;
-    /** Pinned worker threads per shard (>= 1). */
+    /** Worker threads per shard (>= 1). */
     int64_t workersPerShard = 1;
     /** Per-shard queue capacity in batches; 0 = unbounded. */
     size_t queueCapacityBatches = 32;
-    /** Pin each shard's workers to consecutive CPUs (Linux only). */
-    bool pinThreads = false;
     /** Let an idle worker (own queue empty) pull from other shards. */
     bool stealWhenIdle = true;
     /** Completion-ring slots per shard (rounded up to a power of 2). */
     size_t ringCapacity = 1024;
-    /** See ThreadWorkerPool: tracker swallows DropCompletion faults. */
+    /** A tracker reaps dropped completions (runBatchRecord). */
     bool trackerActive = false;
 
     // ---- Elastic capacity (the SLO autoscaler, serving/autoscaler.h).
@@ -95,28 +93,6 @@ struct ShardOptions
      * signal. 0 disables the accounting.
      */
     sim::Tick sloTargetNs = 0;
-};
-
-/**
- * What a worker publishes into its shard's ring when a batch leaves
- * it, for the drainer to turn into stats + delegate completions.
- */
-struct CompletionRecord
-{
-    enum class Kind : uint8_t
-    {
-        None,     //!< default-constructed ring slot
-        Done,     //!< inference succeeded; responses are real answers
-        Failed,   //!< batch fault; responses carry Failed status
-        Expired,  //!< deadline passed in queue; Timeout responses
-        Dropped,  //!< chaos DropCompletion; no responses on purpose
-    };
-
-    Kind kind = Kind::None;
-    Batch batch;
-    std::vector<loadgen::QuerySampleResponse> responses;
-    sim::Tick dispatchedAt = 0;  //!< worker pickup time (time-in-queue)
-    sim::Tick busyNs = 0;        //!< worker busy time (service time)
 };
 
 /**
@@ -239,7 +215,7 @@ class ShardedWorkerPool : public WorkerPool
 
         DemandQueue queue;
         MpscRing<CompletionRecord> ring;
-        /** Pinned workers; owned per shard so shrink can join them. */
+        /** Workers; owned per shard so shrink can join them. */
         std::vector<std::thread> workers;
         /** False while the shard is inactive or draining: its own
          *  workers stop stealing so the shrink join stays prompt. */
@@ -257,10 +233,7 @@ class ShardedWorkerPool : public WorkerPool
     bool trySteal(size_t thief, Batch &out);
     void process(size_t shard_index, Batch &&batch);
     /** Publish @p record; full ring falls back to applyRecord. */
-    void publish(Shard &shard, CompletionRecord &&record,
-                 uint64_t locks_before);
-    /** Turn a record into stats + delegate completions (drainer). */
-    void applyRecord(CompletionRecord &record);
+    void publish(Shard &shard, CompletionRecord &&record);
     /** Drain every shard ring once; true if anything was applied. */
     bool drainRingsOnce();
     void wakeDrainerIfIdle();

@@ -254,7 +254,6 @@ ServingPlatform::ServingPlatform(sim::Executor &executor,
                 : std::max<size_t>(
                       1, options_.queueCapacityBatches /
                              static_cast<size_t>(shards));
-        sharding.pinThreads = options_.pinThreads;
         sharding.stealWhenIdle = options_.stealWhenIdle;
         sharding.trackerActive = true;
         pool_ = std::make_unique<ShardedWorkerPool>(

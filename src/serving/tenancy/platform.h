@@ -116,8 +116,6 @@ struct PlatformOptions
      * partition *models*; the two are orthogonal axes.
      */
     int64_t shards = 1;
-    /** Pin each shard's workers to consecutive CPUs (Linux only). */
-    bool pinThreads = false;
     /** Let idle workers pull from other shards' queues. */
     bool stealWhenIdle = true;
 };

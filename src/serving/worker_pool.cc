@@ -1,57 +1,12 @@
 #include "serving/worker_pool.h"
 
 #include <algorithm>
-#include <cassert>
 #include <utility>
 
 #include "common/parallel.h"
 
 namespace mlperf {
 namespace serving {
-
-namespace {
-
-/**
- * Shed items whose deadline passed while queued: complete them with
- * Timeout status instead of wasting a worker slot on an answer nobody
- * will accept. Mutates @p batch to hold only live items; returns the
- * count shed. (The sharded runtime shares splitExpired but publishes
- * the expired batch through its completion ring instead.)
- */
-uint64_t
-shedExpired(Batch &batch, sim::Tick now, ServingStats &stats)
-{
-    Batch expired = splitExpired(batch, now);
-    if (expired.items.empty())
-        return 0;
-    stats.recordExpired(expired.items.size());
-    completeBatch(expired, errorResponses(
-                               expired, loadgen::ResponseStatus::Timeout));
-    return expired.items.size();
-}
-
-/**
- * Convert a batch-level fault into completions + accounting. A
- * DropCompletion fault with a tracker in place is the one case where
- * deliberately not answering is correct — the deadline reaper (or the
- * shutdown drain) completes the samples, which is the failure being
- * simulated. Everything else completes with Failed status so the
- * LoadGen never hangs on a faulty SUT.
- */
-void
-handleBatchFault(FaultKind kind, const Batch &batch, sim::Tick busy_ns,
-                 ServingStats &stats, bool tracker_active)
-{
-    if (kind == FaultKind::DropCompletion && tracker_active) {
-        stats.recordDroppedCompletion(batch.items.size());
-        return;
-    }
-    stats.recordBatchFailed(batch.items.size(), busy_ns);
-    completeBatch(batch, errorResponses(
-                             batch, loadgen::ResponseStatus::Failed));
-}
-
-} // namespace
 
 // --------------------------------------------------- ThreadWorkerPool
 
@@ -123,28 +78,13 @@ void
 ThreadWorkerPool::process(Batch &&batch)
 {
     const sim::Tick start = executor_.now();
-    shedExpired(batch, start, stats_);
+    CompletionRecord expired = expiredRecord(batch, start);
+    applyRecord(expired, stats_);
     if (batch.items.empty())
         return;
-    stats_.recordDispatch(batch, start);
-    try {
-        const auto responses =
-            inference_.runBatch(batchSamples(batch), batchMeta(batch));
-        completeBatch(batch, responses);
-        const sim::Tick end = executor_.now();
-        stats_.recordBatchDone(batch.items.size(),
-                               end >= start ? end - start : 0);
-    } catch (const InferenceFault &fault) {
-        const sim::Tick end = executor_.now();
-        handleBatchFault(fault.kind(), batch,
-                         end >= start ? end - start : 0, stats_,
-                         trackerActive_);
-    } catch (const std::exception &) {
-        const sim::Tick end = executor_.now();
-        handleBatchFault(FaultKind::Permanent, batch,
-                         end >= start ? end - start : 0, stats_,
-                         trackerActive_);
-    }
+    CompletionRecord record = runBatchRecord(
+        executor_, inference_, std::move(batch), start, trackerActive_);
+    applyRecord(record, stats_);
 }
 
 // ---------------------------------------------------- EventWorkerPool
@@ -190,38 +130,31 @@ EventWorkerPool::dispatch(bool pull)
         const sim::Tick now = executor_.now();
         // Shed before serviceTimeNs so the inference functor (and any
         // chaos plan keyed off the batch) only ever sees live items.
-        shedExpired(batch, now, stats_);
+        CompletionRecord expired = expiredRecord(batch, now);
+        applyRecord(expired, stats_);
         if (batch.items.empty())
             continue;
-        stats_.recordDispatch(batch, now);
         const sim::Tick service = inference_.serviceTimeNs(
             batchSamples(batch), now, batchMeta(batch));
         ++busyWorkers_;
         executor_.scheduleAfter(
-            service, [this, batch = std::move(batch), service] {
-                finishBatch(batch, service);
+            service, [this, batch = std::move(batch), now]() mutable {
+                finishBatch(std::move(batch), now);
             });
     }
     dispatching_ = false;
 }
 
 void
-EventWorkerPool::finishBatch(const Batch &batch, sim::Tick service_ns)
+EventWorkerPool::finishBatch(Batch &&batch, sim::Tick dispatched_at)
 {
     // runBatch is instantaneous in host time; virtual time already
-    // advanced by the modeled service time.
-    try {
-        const auto responses =
-            inference_.runBatch(batchSamples(batch), batchMeta(batch));
-        completeBatch(batch, responses);
-        stats_.recordBatchDone(batch.items.size(), service_ns);
-    } catch (const InferenceFault &fault) {
-        handleBatchFault(fault.kind(), batch, service_ns, stats_,
-                         trackerActive_);
-    } catch (const std::exception &) {
-        handleBatchFault(FaultKind::Permanent, batch, service_ns,
-                         stats_, trackerActive_);
-    }
+    // advanced by the modeled service time, so the record's busy time
+    // is exactly that service time.
+    CompletionRecord record =
+        runBatchRecord(executor_, inference_, std::move(batch),
+                       dispatched_at, trackerActive_);
+    applyRecord(record, stats_);
     --busyWorkers_;
     dispatch(true);
 }

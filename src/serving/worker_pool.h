@@ -20,7 +20,8 @@
  * it). Both report demand for a window-0 batcher: workerFree() says
  * whether a worker could start another batch now, and a worker that
  * runs out of queued batches calls the pool's PullFn to have the
- * batcher emit the samples it holds.
+ * batcher emit the samples it holds. Both, like ShardedWorkerPool,
+ * reach the batch-outcome policy only through serving/batch.h.
  */
 
 #ifndef MLPERF_SERVING_WORKER_POOL_H
@@ -82,11 +83,8 @@ class ThreadWorkerPool : public WorkerPool
 {
   public:
     /**
-     * @param tracker_active true when a CompletionTracker stands
-     *        between the pool and the LoadGen: a DropCompletion fault
-     *        may then be swallowed (the reaper completes the samples);
-     *        without a tracker it is completed as Failed so the run
-     *        never hangs.
+     * @param tracker_active a CompletionTracker reaps dropped
+     *        completions (runBatchRecord, serving/batch.h)
      * @param pull demand pull (shard 0); empty = workers only take
      *        submitted batches
      */
@@ -166,7 +164,7 @@ class EventWorkerPool : public WorkerPool
      * judges demand for its remainder itself, afterwards.
      */
     void dispatch(bool pull);
-    void finishBatch(const Batch &batch, sim::Tick service_ns);
+    void finishBatch(Batch &&batch, sim::Tick dispatched_at);
 
     sim::Executor &executor_;
     BatchInference &inference_;

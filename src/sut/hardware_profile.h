@@ -76,7 +76,7 @@ struct HardwareProfile
 
     /**
      * Time to execute a batch whose total work is @p macs, excluding
-     * warm-up and jitter (those are applied by the SUT at dispatch).
+     * warm-up and jitter (sut::batchServiceNs applies those).
      */
     double batchSeconds(double macs, int64_t batch) const;
 

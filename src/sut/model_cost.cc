@@ -1,6 +1,7 @@
 #include "sut/model_cost.h"
 
 #include <cassert>
+#include <cmath>
 
 namespace mlperf {
 namespace sut {
@@ -45,6 +46,44 @@ modelCostFor(models::TaskType task)
         break;
     }
     return cost;
+}
+
+double
+drawSampleMacs(const ModelCost &cost, Rng &rng)
+{
+    double macs = cost.macsPerSample * cost.structureDiscount;
+    if (cost.workCv > 0.0) {
+        // Lognormal with unit mean and the requested cv.
+        const double sigma =
+            std::sqrt(std::log(1.0 + cost.workCv * cost.workCv));
+        macs *= std::exp(sigma * rng.nextGaussian() - sigma * sigma / 2.0);
+    }
+    return macs;
+}
+
+sim::Tick
+batchServiceNs(const HardwareProfile &profile, double macs, int64_t batch,
+               sim::Tick now, Rng &rng, sim::Tick preprocess_ns_per_sample)
+{
+    double seconds = profile.batchSeconds(macs, batch);
+    seconds += static_cast<double>(preprocess_ns_per_sample) *
+               static_cast<double>(batch) * 1e-9;
+    seconds *= profile.dvfsFactorAt(now);
+    if (profile.jitterFraction > 0.0)
+        seconds *= std::exp(profile.jitterFraction * rng.nextGaussian());
+    return static_cast<sim::Tick>(seconds *
+                                  static_cast<double>(sim::kNsPerSec));
+}
+
+double
+steadyStateThroughput(const HardwareProfile &profile, const ModelCost &cost,
+                      int64_t batch)
+{
+    const double macs = cost.macsPerSample * cost.structureDiscount *
+                        static_cast<double>(batch);
+    const double seconds = profile.batchSeconds(macs, batch);
+    return static_cast<double>(batch) *
+           static_cast<double>(profile.acceleratorCount) / seconds;
 }
 
 } // namespace sut

@@ -1,6 +1,7 @@
 /**
  * @file
- * Per-task compute-cost models for the simulated SUTs.
+ * Per-task compute-cost models for the simulated SUTs, and the one
+ * composition of a HardwareProfile's service time from them.
  *
  * Costs use the paper's Table I reference complexity (GOPs/input), so
  * simulated systems see the real relative weights of the five tasks —
@@ -11,7 +12,13 @@
 #ifndef MLPERF_SUT_MODEL_COST_H
 #define MLPERF_SUT_MODEL_COST_H
 
+#include <algorithm>
+#include <cstdint>
+
+#include "common/rng.h"
 #include "models/model_info.h"
+#include "sim/executor.h"
+#include "sut/hardware_profile.h"
 
 namespace mlperf {
 namespace sut {
@@ -48,6 +55,55 @@ struct ModelCost
 
 /** Cost model for each of the five tasks. */
 ModelCost modelCostFor(models::TaskType task);
+
+// ---- Service-time composition, the one copy SimulatedSut and
+//      ProfileBatchInference share. They differ only in when they
+//      draw: SimulatedSut draws a sample's work at issue (Offline
+//      length-sorts on it); ProfileBatchInference draws it at dispatch.
+
+/**
+ * One sample's work in MACs: mean x structure discount x, when
+ * workCv > 0, a unit-mean lognormal with that cv drawn from @p rng.
+ */
+double drawSampleMacs(const ModelCost &cost, Rng &rng);
+
+/**
+ * A batch's work from its samples' work @p sample_macs(i), taken for
+ * i = 0 .. @p count - 1 in order: the sum, or under paddedBatching
+ * count x the longest, since every lane pads to it.
+ */
+template <typename SampleMacs>
+double
+batchMacs(const ModelCost &cost, int64_t count, SampleMacs &&sample_macs)
+{
+    double sum = 0.0;
+    double longest = 0.0;
+    for (int64_t i = 0; i < count; ++i) {
+        const double macs = sample_macs(i);
+        sum += macs;
+        longest = std::max(longest, macs);
+    }
+    return cost.paddedBatching ? longest * static_cast<double>(count)
+                               : sum;
+}
+
+/**
+ * Service time of a @p batch -sample batch of @p macs total work that
+ * starts at @p now: (batchSeconds + @p preprocess_ns_per_sample per
+ * sample) x dvfsFactorAt(now) x, when jitterFraction > 0, one
+ * lognormal jitter draw from @p rng.
+ */
+sim::Tick batchServiceNs(const HardwareProfile &profile, double macs,
+                         int64_t batch, sim::Tick now, Rng &rng,
+                         sim::Tick preprocess_ns_per_sample = 0);
+
+/**
+ * Samples/s @p profile sustains on @p cost at batch size @p batch,
+ * ignoring jitter and DVFS: the analytical roofline that seeds the
+ * harness's searches.
+ */
+double steadyStateThroughput(const HardwareProfile &profile,
+                             const ModelCost &cost, int64_t batch);
 
 } // namespace sut
 } // namespace mlperf

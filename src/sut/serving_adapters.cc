@@ -1,8 +1,6 @@
 #include "sut/serving_adapters.h"
 
-#include <algorithm>
 #include <chrono>
-#include <cmath>
 
 namespace mlperf {
 namespace sut {
@@ -30,32 +28,9 @@ ProfileBatchInference::serviceTimeNs(
     const std::vector<loadgen::QuerySample> &samples, sim::Tick now)
 {
     const int64_t batch = static_cast<int64_t>(samples.size());
-    const double base = cost_.macsPerSample * cost_.structureDiscount;
-    double macs = 0.0;
-    double longest = 0.0;
-    for (int64_t i = 0; i < batch; ++i) {
-        double draw = base;
-        if (cost_.workCv > 0.0) {
-            // Lognormal with unit mean and the requested cv.
-            const double sigma = std::sqrt(
-                std::log(1.0 + cost_.workCv * cost_.workCv));
-            draw *= std::exp(sigma * rng_.nextGaussian() -
-                             sigma * sigma / 2.0);
-        }
-        macs += draw;
-        longest = std::max(longest, draw);
-    }
-    if (cost_.paddedBatching)
-        macs = longest * static_cast<double>(batch);
-
-    double seconds = profile_.batchSeconds(macs, batch);
-    seconds *= profile_.dvfsFactorAt(now);
-    if (profile_.jitterFraction > 0.0) {
-        seconds *= std::exp(profile_.jitterFraction *
-                            rng_.nextGaussian());
-    }
-    return static_cast<sim::Tick>(
-        seconds * static_cast<double>(sim::kNsPerSec));
+    const double macs = batchMacs(
+        cost_, batch, [this](int64_t) { return drawSampleMacs(cost_, rng_); });
+    return batchServiceNs(profile_, macs, batch, now, rng_);
 }
 
 std::vector<loadgen::QuerySampleResponse>

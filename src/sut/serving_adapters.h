@@ -4,10 +4,11 @@
  * serving runtime (src/serving):
  *
  *  - ProfileBatchInference: a simulated hardware profile + model
- *    cost, for event workers under virtual time. The same analytical
- *    model as SimulatedSut (batch efficiency, DVFS warm-up, jitter),
- *    but with queueing/batching/scheduling handled by ServingSut
- *    instead of inline.
+ *    cost, for event workers under virtual time. The same cost
+ *    composition as SimulatedSut (sut/model_cost.h: batch
+ *    efficiency, DVFS warm-up, jitter), but with
+ *    queueing/batching/scheduling handled by ServingSut instead of
+ *    inline.
  *  - ClassifierBatchInference: the real NN image classifier, for
  *    thread workers under wall-clock time — the concurrent
  *    counterpart of the inline ClassifierSut.
@@ -50,8 +51,6 @@ class ProfileBatchInference : public serving::BatchInference
     sim::Tick serviceTimeNs(
         const std::vector<loadgen::QuerySample> &samples,
         sim::Tick now) override;
-
-    const HardwareProfile &profile() const { return profile_; }
 
   private:
     HardwareProfile profile_;

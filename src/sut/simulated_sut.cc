@@ -1,8 +1,6 @@
 #include "sut/simulated_sut.h"
 
 #include <algorithm>
-#include <cassert>
-#include <cmath>
 
 namespace mlperf {
 namespace sut {
@@ -11,30 +9,9 @@ SimulatedSut::SimulatedSut(sim::Executor &executor,
                            HardwareProfile profile, ModelCost cost,
                            SchedulerOptions options, uint64_t seed)
     : executor_(executor), profile_(std::move(profile)), cost_(cost),
-      options_(options), rng_(seed)
+      options_(options),
+      maxBatch_(std::max<int64_t>(1, profile_.maxBatch)), rng_(seed)
 {
-}
-
-int64_t
-SimulatedSut::effectiveMaxBatch() const
-{
-    return options_.maxBatch > 0 ? options_.maxBatch
-                                 : std::max<int64_t>(1,
-                                                     profile_.maxBatch);
-}
-
-double
-SimulatedSut::drawSampleMacs()
-{
-    double macs = cost_.macsPerSample * cost_.structureDiscount;
-    if (cost_.workCv > 0.0) {
-        // Lognormal with unit mean and the requested cv.
-        const double sigma =
-            std::sqrt(std::log(1.0 + cost_.workCv * cost_.workCv));
-        macs *= std::exp(sigma * rng_.nextGaussian() -
-                         sigma * sigma / 2.0);
-    }
-    return macs;
 }
 
 void
@@ -44,13 +21,14 @@ SimulatedSut::issueQuery(const std::vector<loadgen::QuerySample> &samples,
     std::vector<PendingSample> incoming;
     incoming.reserve(samples.size());
     for (const auto &sample : samples)
-        incoming.push_back({sample.id, &delegate, drawSampleMacs()});
+        incoming.push_back(
+            {sample.id, &delegate, drawSampleMacs(cost_, rng_)});
 
     // Length-sorted batching for big (offline-style) queries of
     // variable-length work: reordering within a query is allowed, and
     // it eliminates the padding waste of mixed-length batches.
     if (cost_.paddedBatching &&
-        static_cast<int64_t>(incoming.size()) > effectiveMaxBatch()) {
+        static_cast<int64_t>(incoming.size()) > maxBatch_) {
         std::sort(incoming.begin(), incoming.end(),
                   [](const PendingSample &a, const PendingSample &b) {
                       return a.macs < b.macs;
@@ -59,9 +37,8 @@ SimulatedSut::issueQuery(const std::vector<loadgen::QuerySample> &samples,
     for (auto &sample : incoming)
         batcher_.push_back(std::move(sample));
 
-    const int64_t max_batch = effectiveMaxBatch();
     if (options_.batchWindowNs == 0 ||
-        static_cast<int64_t>(batcher_.size()) >= max_batch) {
+        static_cast<int64_t>(batcher_.size()) >= maxBatch_) {
         flushBatcher();
     } else if (!batcherFlushScheduled_) {
         batcherFlushScheduled_ = true;
@@ -81,10 +58,9 @@ SimulatedSut::flushQueries()
 void
 SimulatedSut::flushBatcher()
 {
-    const int64_t max_batch = effectiveMaxBatch();
     while (!batcher_.empty()) {
         const int64_t take = std::min<int64_t>(
-            max_batch, static_cast<int64_t>(batcher_.size()));
+            maxBatch_, static_cast<int64_t>(batcher_.size()));
         std::vector<PendingSample> batch;
         batch.reserve(static_cast<size_t>(take));
         for (int64_t i = 0; i < take; ++i) {
@@ -115,31 +91,13 @@ SimulatedSut::startBatch(std::vector<PendingSample> batch)
     samplesProcessed_ += batch.size();
 
     const int64_t batch_size = static_cast<int64_t>(batch.size());
-    // Batch cost: sum of per-sample work, or (for sequence models)
-    // batch_size x the longest sample, since every lane pads to it.
-    double macs = 0.0;
-    if (cost_.paddedBatching) {
-        double longest = 0.0;
-        for (const auto &sample : batch)
-            longest = std::max(longest, sample.macs);
-        macs = longest * static_cast<double>(batch_size);
-    } else {
-        for (const auto &sample : batch)
-            macs += sample.macs;
-    }
-
+    const double macs = batchMacs(
+        cost_, batch_size,
+        [&batch](int64_t i) { return batch[static_cast<size_t>(i)].macs; });
     dynamicJoules_ += macs * profile_.picojoulesPerMac * 1e-12;
-    double seconds = profile_.batchSeconds(macs, batch_size);
-    seconds += static_cast<double>(
-                   options_.timedPreprocessNsPerSample) *
-               static_cast<double>(batch_size) * 1e-9;
-    seconds *= profile_.dvfsFactorAt(executor_.now());
-    if (profile_.jitterFraction > 0.0) {
-        seconds *= std::exp(profile_.jitterFraction *
-                            rng_.nextGaussian());
-    }
-    const sim::Tick latency = static_cast<sim::Tick>(
-        seconds * static_cast<double>(sim::kNsPerSec));
+    const sim::Tick latency =
+        batchServiceNs(profile_, macs, batch_size, executor_.now(), rng_,
+                       options_.timedPreprocessNsPerSample);
 
     executor_.scheduleAfter(
         latency, [this, batch = std::move(batch)] {
@@ -160,16 +118,6 @@ SimulatedSut::startBatch(std::vector<PendingSample> batch)
             --busyEngines_;
             dispatchReady();
         });
-}
-
-double
-SimulatedSut::steadyStateThroughput(int64_t batch) const
-{
-    const double macs = cost_.macsPerSample * cost_.structureDiscount *
-                        static_cast<double>(batch);
-    const double seconds = profile_.batchSeconds(macs, batch);
-    return static_cast<double>(batch) *
-           static_cast<double>(profile_.acceleratorCount) / seconds;
 }
 
 } // namespace sut

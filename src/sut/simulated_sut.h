@@ -25,11 +25,9 @@
 namespace mlperf {
 namespace sut {
 
-/** Submitter-tunable scheduling knobs (overrides profile defaults). */
+/** Submitter-tunable scheduling knobs; batches cap at profile.maxBatch. */
 struct SchedulerOptions
 {
-    /** Largest formed batch; 0 = use profile.maxBatch. */
-    int64_t maxBatch = 0;
     /**
      * How long the batcher may hold samples to form a fuller batch.
      * 0 dispatches immediately (query-at-a-time). The batching
@@ -69,20 +67,12 @@ class SimulatedSut : public loadgen::SystemUnderTest
                    : static_cast<double>(samplesProcessed_) /
                          static_cast<double>(batchesDispatched_);
     }
-    const HardwareProfile &profile() const { return profile_; }
 
     /**
      * Dynamic energy consumed so far (joules); add idleWatts x run
      * time for wall energy. Lets benches report performance/watt.
      */
     double dynamicEnergyJoules() const { return dynamicJoules_; }
-
-    /**
-     * Throughput (samples/s) the profile sustains at a given batch
-     * size, ignoring jitter/DVFS — the analytical roofline used to
-     * seed harness searches.
-     */
-    double steadyStateThroughput(int64_t batch) const;
 
   private:
     struct PendingSample
@@ -92,9 +82,6 @@ class SimulatedSut : public loadgen::SystemUnderTest
         double macs;  //!< per-sample work, drawn at enqueue
     };
 
-    double drawSampleMacs();
-
-    int64_t effectiveMaxBatch() const;
     void flushBatcher();
     void dispatchReady();
     void startBatch(std::vector<PendingSample> batch);
@@ -103,6 +90,7 @@ class SimulatedSut : public loadgen::SystemUnderTest
     HardwareProfile profile_;
     ModelCost cost_;
     SchedulerOptions options_;
+    const int64_t maxBatch_;  //!< profile.maxBatch, at least 1
     Rng rng_;
 
     std::deque<PendingSample> batcher_;     //!< awaiting batch formation

@@ -97,6 +97,32 @@ TEST(ThreadPool, SequentialJobsReuseWorkers)
     }
 }
 
+TEST(ThreadPool, BackToBackJobsKeepTheirOwnChunks)
+{
+    // The pool reuses one job slot. A chunk of job n that ran after
+    // job n returned, or a range of job n+1 claimed under job n's
+    // body, would show up as a wrong round or a wrong hit count.
+    ThreadPool pool(4);
+    std::atomic<int> current{-1};
+    std::atomic<int64_t> strays{0};
+    for (int round = 0; round < 2000; ++round) {
+        const int64_t n = 8 + round % 57;
+        std::vector<std::atomic<int>> hits(static_cast<size_t>(n));
+        current.store(round);
+        pool.parallelFor(0, n, 1 + round % 3, [&, round](int64_t b,
+                                                         int64_t e) {
+            if (current.load() != round)
+                strays.fetch_add(1);
+            for (int64_t i = b; i < e; ++i)
+                hits[static_cast<size_t>(i)].fetch_add(1);
+        });
+        for (int64_t i = 0; i < n; ++i)
+            ASSERT_EQ(hits[static_cast<size_t>(i)].load(), 1)
+                << "round " << round << " index " << i;
+    }
+    EXPECT_EQ(strays.load(), 0);
+}
+
 TEST(ThreadPool, ConcurrentCallersSerializeSafely)
 {
     // Multiple external threads hammer the same pool; calls must

@@ -1,8 +1,9 @@
 /**
  * @file
  * Tests for the LoadGen extensions the paper plans in Sec. I/IV-B:
- * burst-mode arrivals and multitenancy — plus the dropped-response
- * validity rule.
+ * burst-mode arrivals — plus the dropped-response validity rule.
+ * Multitenancy runs on the serving platform and is tested with it
+ * (tests/serving/tenancy_test.cc).
  */
 
 #include <gtest/gtest.h>
@@ -12,7 +13,6 @@
 #include "loadgen/loadgen.h"
 #include "loadgen/schedule.h"
 #include "sim/virtual_executor.h"
-#include "sut/multi_model_sut.h"
 #include "test_doubles.h"
 
 namespace mlperf {
@@ -96,112 +96,6 @@ TEST(BurstMode, ConfigKeyParsed)
     TestSettings s;
     s.applyConfig("server_burst_factor = 2.5\n");
     EXPECT_DOUBLE_EQ(s.serverBurstFactor, 2.5);
-}
-
-// ------------------------------------------------------- multitenancy
-
-TEST(MultiTenant, TwoTenantsShareOneSystem)
-{
-    sim::VirtualExecutor ex;
-    sut::HardwareProfile profile;
-    profile.systemName = "mt-system";
-    profile.peakMacsPerSec = 2e13;
-    profile.acceleratorCount = 2;
-    profile.maxBatch = 8;
-    profile.jitterFraction = 0.0;
-    sut::MultiModelSut shared(
-        ex, profile,
-        {sut::modelCostFor(models::TaskType::ImageClassificationHeavy),
-         sut::modelCostFor(
-             models::TaskType::ImageClassificationLight)});
-
-    FakeQsl qsl_a(1000, 256), qsl_b(1000, 256);
-    TestSettings settings_a = TestSettings::forScenario(Scenario::Server);
-    settings_a.serverTargetQps = 500.0;
-    settings_a.targetLatencyNs = 15 * kNsPerMs;
-    settings_a.maxQueryCount = 5000;
-    TestSettings settings_b = settings_a;
-    settings_b.serverTargetQps = 800.0;
-    settings_b.targetLatencyNs = 10 * kNsPerMs;
-    settings_b.maxQueryCount = 5000;
-
-    LoadGen lg(ex);
-    const auto results = lg.startMultiTenantTest(
-        {{&shared.tenantSut(0), &qsl_a, settings_a},
-         {&shared.tenantSut(1), &qsl_b, settings_b}});
-    ASSERT_EQ(results.size(), 2u);
-    EXPECT_EQ(results[0].queryCount, 5000u);
-    EXPECT_EQ(results[1].queryCount, 5000u);
-    EXPECT_TRUE(results[0].valid);
-    EXPECT_TRUE(results[1].valid);
-    EXPECT_EQ(results[0].droppedQueries, 0u);
-}
-
-TEST(MultiTenant, BackgroundTenantDegradesForeground)
-{
-    // Tenant A alone vs tenant A next to a heavy co-tenant: the
-    // shared engines make A's tail latency strictly worse.
-    auto run_a = [](bool with_background) {
-        sim::VirtualExecutor ex;
-        sut::HardwareProfile profile;
-        profile.systemName = "mt";
-        profile.peakMacsPerSec = 1e13;
-        profile.acceleratorCount = 1;
-        profile.maxBatch = 4;
-        profile.jitterFraction = 0.0;
-        sut::MultiModelSut shared(
-            ex, profile,
-            {sut::modelCostFor(
-                 models::TaskType::ImageClassificationHeavy),
-             sut::modelCostFor(
-                 models::TaskType::ObjectDetectionHeavy)});
-        FakeQsl qsl_a(1000, 256), qsl_b(1000, 256);
-        TestSettings a = TestSettings::forScenario(Scenario::Server);
-        a.serverTargetQps = 300.0;
-        a.targetLatencyNs = 15 * kNsPerMs;
-        a.maxQueryCount = 3000;
-        std::vector<LoadGen::Tenant> tenants = {
-            {&shared.tenantSut(0), &qsl_a, a}};
-        TestSettings b = TestSettings::forScenario(Scenario::Server);
-        b.serverTargetQps = 10.0;  // SSD-R34: huge per-query cost
-        b.targetLatencyNs = 500 * kNsPerMs;
-        b.maxQueryCount = 1000;
-        if (with_background)
-            tenants.push_back({&shared.tenantSut(1), &qsl_b, b});
-        LoadGen lg(ex);
-        return lg.startMultiTenantTest(tenants)[0];
-    };
-    const TestResult alone = run_a(false);
-    const TestResult contended = run_a(true);
-    EXPECT_GT(contended.latency.p99, alone.latency.p99);
-}
-
-TEST(MultiTenant, RoundRobinPreventsStarvation)
-{
-    // Even with a flood of model-0 work, model-1 queries make
-    // progress (round-robin dispatch).
-    sim::VirtualExecutor ex;
-    sut::HardwareProfile profile;
-    profile.systemName = "rr";
-    profile.peakMacsPerSec = 5e12;
-    profile.maxBatch = 4;
-    profile.jitterFraction = 0.0;
-    sut::MultiModelSut shared(
-        ex, profile,
-        {sut::modelCostFor(models::TaskType::ImageClassificationHeavy),
-         sut::modelCostFor(
-             models::TaskType::ImageClassificationLight)});
-    FakeQsl qsl_a(1000, 256), qsl_b(1000, 256);
-    TestSettings heavy = TestSettings::forScenario(Scenario::Offline);
-    heavy.offlineSampleCount = 5000;
-    TestSettings light = TestSettings::forScenario(Scenario::Offline);
-    light.offlineSampleCount = 100;
-    LoadGen lg(ex);
-    const auto results = lg.startMultiTenantTest(
-        {{&shared.tenantSut(0), &qsl_a, heavy},
-         {&shared.tenantSut(1), &qsl_b, light}});
-    // The light tenant must finish long before the heavy one.
-    EXPECT_LT(results[1].durationNs, results[0].durationNs / 2);
 }
 
 // --------------------------------------------------- dropped queries

@@ -1,0 +1,227 @@
+/**
+ * @file
+ * One batch-outcome policy across every worker pool: the same
+ * scripted batches (an Ok batch, faults that end Failed, a dropped
+ * completion with and without a tracker, and a batch with expired
+ * items) must leave the same status per sample and the same stats
+ * counters whether ThreadWorkerPool, EventWorkerPool, or a 1- or
+ * 2-shard ShardedWorkerPool runs them.
+ */
+
+#include <gtest/gtest.h>
+
+#include <map>
+#include <memory>
+#include <mutex>
+#include <stdexcept>
+#include <string>
+#include <vector>
+
+#include "serving/shard.h"
+#include "serving/worker_pool.h"
+#include "sim/real_executor.h"
+#include "sim/virtual_executor.h"
+
+namespace mlperf {
+namespace serving {
+namespace {
+
+using loadgen::ResponseStatus;
+
+/**
+ * Inference whose outcome is scripted by the batch's first sample id
+ * (id / 10): 0 and 4 answer Ok, 1 throws a transient InferenceFault
+ * (no retry layer, so it ends Failed), 2 throws a plain exception,
+ * 3 throws DropCompletion. Thread-safe: it keeps no state.
+ */
+class ScriptedInference : public BatchInference
+{
+  public:
+    std::string name() const override { return "scripted"; }
+
+    std::vector<loadgen::QuerySampleResponse>
+    runBatch(const std::vector<loadgen::QuerySample> &samples) override
+    {
+        switch (samples.front().id / 10) {
+          case 1:
+            throw InferenceFault(FaultKind::Transient, "transient");
+          case 2:
+            throw std::runtime_error("not an InferenceFault");
+          case 3:
+            throw InferenceFault(FaultKind::DropCompletion, "dropped");
+          default:
+            break;
+        }
+        std::vector<loadgen::QuerySampleResponse> responses;
+        for (const auto &sample : samples)
+            responses.push_back({sample.id, "answer"});
+        return responses;
+    }
+
+    sim::Tick
+    serviceTimeNs(const std::vector<loadgen::QuerySample> &,
+                  sim::Tick) override
+    {
+        return 100 * 1000;
+    }
+};
+
+/** Status delivered per sample id; a sample never answered is absent. */
+class StatusDelegate : public loadgen::ResponseDelegate
+{
+  public:
+    void
+    querySamplesComplete(
+        const std::vector<loadgen::QuerySampleResponse> &responses)
+        override
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        for (const auto &response : responses)
+            statuses_[response.id] = response.status;
+    }
+
+    std::map<loadgen::ResponseId, ResponseStatus>
+    statuses() const
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        return statuses_;
+    }
+
+  private:
+    mutable std::mutex mutex_;
+    std::map<loadgen::ResponseId, ResponseStatus> statuses_;
+};
+
+/** What one pool made of the scripted batches. */
+struct Outcome
+{
+    std::map<loadgen::ResponseId, ResponseStatus> statuses;
+    uint64_t samplesCompleted = 0;
+    uint64_t failedSamples = 0;
+    uint64_t batchesFailed = 0;
+    uint64_t droppedCompletions = 0;
+    uint64_t expiredSamples = 0;
+    uint64_t timeInQueueCount = 0;
+};
+
+void
+expectSameOutcome(const Outcome &actual, const Outcome &expected,
+                  const char *pool)
+{
+    SCOPED_TRACE(pool);
+    EXPECT_EQ(actual.statuses, expected.statuses);
+    EXPECT_EQ(actual.samplesCompleted, expected.samplesCompleted);
+    EXPECT_EQ(actual.failedSamples, expected.failedSamples);
+    EXPECT_EQ(actual.batchesFailed, expected.batchesFailed);
+    EXPECT_EQ(actual.droppedCompletions, expected.droppedCompletions);
+    EXPECT_EQ(actual.expiredSamples, expected.expiredSamples);
+    EXPECT_EQ(actual.timeInQueueCount, expected.timeInQueueCount);
+}
+
+/** The script: one batch per behaviour; deadline 1 ns is long past. */
+std::vector<Batch>
+scriptedBatches(loadgen::ResponseDelegate &delegate)
+{
+    auto batch = [&](std::vector<std::pair<uint64_t, sim::Tick>> items) {
+        Batch b;
+        for (const auto &[id, deadline] : items)
+            b.items.push_back({{id, id}, &delegate, 0, deadline});
+        return b;
+    };
+    std::vector<Batch> batches;
+    batches.push_back(batch({{0, 0}, {1, 0}}));    // Ok
+    batches.push_back(batch({{10, 0}, {11, 0}}));  // transient fault
+    batches.push_back(batch({{20, 0}}));           // plain exception
+    batches.push_back(batch({{30, 0}, {31, 0}}));  // DropCompletion
+    batches.push_back(batch({{40, 1}, {41, 0}, {42, 1}}));  // 2 expired
+    return batches;
+}
+
+enum class PoolKind { Threads, Events, OneShard, TwoShards };
+
+Outcome
+runScript(PoolKind kind, bool tracker_active)
+{
+    ScriptedInference inference;
+    ServingStats stats;
+    StatusDelegate delegate;
+    std::vector<Batch> batches = scriptedBatches(delegate);
+    auto submitAll = [&batches](WorkerPool &pool) {
+        for (Batch &batch : batches)
+            ASSERT_TRUE(pool.submit(batch));
+    };
+
+    if (kind == PoolKind::Events) {
+        sim::VirtualExecutor ex;
+        EventWorkerPool pool(ex, inference, stats, 1, 0, tracker_active);
+        // Submit at 1 ms so the 1 ns deadlines have passed.
+        ex.schedule(sim::kNsPerMs, [&] { submitAll(pool); });
+        ex.run();
+    } else {
+        sim::RealExecutor ex;
+        std::unique_ptr<WorkerPool> pool;
+        if (kind == PoolKind::Threads) {
+            pool = std::make_unique<ThreadWorkerPool>(
+                ex, inference, stats, 1, 0, tracker_active);
+        } else {
+            ShardOptions options;
+            options.shards = kind == PoolKind::OneShard ? 1 : 2;
+            options.queueCapacityBatches = 0;
+            options.trackerActive = tracker_active;
+            pool = std::make_unique<ShardedWorkerPool>(ex, inference,
+                                                       stats, options);
+        }
+        submitAll(*pool);
+        pool->shutdown();  // drains queues, workers and completion rings
+    }
+
+    const StatsSnapshot snapshot = stats.snapshot();
+    Outcome out;
+    out.statuses = delegate.statuses();
+    out.samplesCompleted = snapshot.samplesCompleted;
+    out.failedSamples = snapshot.failedSamples;
+    out.batchesFailed = snapshot.batchesFailed;
+    out.droppedCompletions = snapshot.droppedCompletions;
+    out.expiredSamples = snapshot.expiredSamples;
+    out.timeInQueueCount = snapshot.timeInQueueNs.count();
+    return out;
+}
+
+TEST(PoolOutcome, EveryPoolAppliesTheSamePolicy)
+{
+    for (const bool tracker : {false, true}) {
+        SCOPED_TRACE(tracker ? "tracker active" : "no tracker");
+        const Outcome threads = runScript(PoolKind::Threads, tracker);
+
+        // The policy itself, spelled out once.
+        std::map<loadgen::ResponseId, ResponseStatus> expected = {
+            {0, ResponseStatus::Ok},       {1, ResponseStatus::Ok},
+            {10, ResponseStatus::Failed},  {11, ResponseStatus::Failed},
+            {20, ResponseStatus::Failed},  {40, ResponseStatus::Timeout},
+            {41, ResponseStatus::Ok},      {42, ResponseStatus::Timeout}};
+        if (!tracker) {
+            // Nobody would reap a dropped completion: it fails instead.
+            expected[30] = ResponseStatus::Failed;
+            expected[31] = ResponseStatus::Failed;
+        }
+        EXPECT_EQ(threads.statuses, expected);
+        EXPECT_EQ(threads.samplesCompleted, 3u);
+        EXPECT_EQ(threads.failedSamples, tracker ? 3u : 5u);
+        EXPECT_EQ(threads.batchesFailed, tracker ? 2u : 3u);
+        EXPECT_EQ(threads.droppedCompletions, tracker ? 2u : 0u);
+        EXPECT_EQ(threads.expiredSamples, 2u);
+        // Every dispatched sample waited in queue: all but the expired.
+        EXPECT_EQ(threads.timeInQueueCount, 8u);
+
+        expectSameOutcome(runScript(PoolKind::Events, tracker), threads,
+                          "EventWorkerPool");
+        expectSameOutcome(runScript(PoolKind::OneShard, tracker), threads,
+                          "ShardedWorkerPool, 1 shard");
+        expectSameOutcome(runScript(PoolKind::TwoShards, tracker),
+                          threads, "ShardedWorkerPool, 2 shards");
+    }
+}
+
+} // namespace
+} // namespace serving
+} // namespace mlperf

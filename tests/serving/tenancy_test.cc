@@ -4,7 +4,8 @@
  * (hot-swap/evict while handles are in flight, concurrent lookup
  * stress), DAG pipeline construction/execution/deadlines, and
  * ServingPlatform routing, per-tenant admission budgets, and
- * teardown — plus one harness-level multi-tenant LoadGen run.
+ * teardown — plus multi-tenant LoadGen runs of analytical profile
+ * models in virtual time, directly and through the harness.
  */
 
 #include <gtest/gtest.h>
@@ -16,11 +17,14 @@
 #include <thread>
 #include <vector>
 
+#include "../loadgen/test_doubles.h"
 #include "harness/experiment.h"
+#include "loadgen/loadgen.h"
 #include "serving/tenancy/dag.h"
 #include "serving/tenancy/model_registry.h"
 #include "serving/tenancy/platform.h"
 #include "sim/virtual_executor.h"
+#include "sut/serving_adapters.h"
 #include "sut/system_zoo.h"
 #include "tensor/tensor.h"
 
@@ -734,6 +738,181 @@ TEST(ServingPlatform, ShutdownFlushesHeldBatches)
     EXPECT_EQ(delegate.responses().size(), 3u);
     EXPECT_EQ(tenant.outstanding(), 0u);
     platform.shutdown();  // idempotent
+}
+
+// ------------------------------------------ multi-tenant LoadGen runs
+
+/**
+ * A platform of analytical profile models on a VirtualExecutor: the
+ * tenants share its workers, the LoadGen drives them all at once.
+ */
+class ProfilePlatform
+{
+  public:
+    ProfilePlatform(sut::HardwareProfile profile, int64_t workers)
+        : profile_(std::move(profile)),
+          platform_(ex_, registry_, platformOptions(profile_, workers))
+    {
+    }
+
+    /** Publish @p task's cost model and a tenant routed to it. */
+    TenantSut &
+    addTenant(TenantPolicy policy, models::TaskType task)
+    {
+        const std::string model = models::taskModelName(task);
+        sut::publishProfileModel(registry_, model, "fp32", profile_,
+                                 sut::modelCostFor(task));
+        return platform_.addTenant(std::move(policy),
+                                   platform_.addModelRoute(model));
+    }
+
+    std::vector<loadgen::TestResult>
+    run(const std::vector<loadgen::LoadGen::Tenant> &tenants)
+    {
+        loadgen::LoadGen lg(ex_);
+        auto results = lg.startMultiTenantTest(tenants);
+        platform_.shutdown();
+        return results;
+    }
+
+  private:
+    static PlatformOptions
+    platformOptions(const sut::HardwareProfile &profile, int64_t workers)
+    {
+        PlatformOptions options;
+        options.workers = workers;
+        options.maxBatch = profile.maxBatch;
+        options.mode = WorkerMode::Events;
+        return options;
+    }
+
+    sim::VirtualExecutor ex_;
+    sut::HardwareProfile profile_;
+    ModelRegistry registry_;
+    ServingPlatform platform_;
+};
+
+sut::HardwareProfile
+noiselessProfile(double peak_macs_per_sec, int64_t max_batch)
+{
+    sut::HardwareProfile profile;
+    profile.systemName = "mt-system";
+    profile.peakMacsPerSec = peak_macs_per_sec;
+    profile.maxBatch = max_batch;
+    profile.jitterFraction = 0.0;
+    return profile;
+}
+
+loadgen::TestSettings
+serverSettings(double qps, uint64_t target_ms, uint64_t queries)
+{
+    loadgen::TestSettings settings =
+        loadgen::TestSettings::forScenario(loadgen::Scenario::Server);
+    settings.serverTargetQps = qps;
+    settings.targetLatencyNs = target_ms * sim::kNsPerMs;
+    settings.maxQueryCount = queries;
+    return settings;
+}
+
+TEST(MultiTenant, TwoTenantsShareOneSystem)
+{
+    ProfilePlatform shared(noiselessProfile(2e13, 8), 2);
+    TenantSut &resnet = shared.addTenant(
+        {}, models::TaskType::ImageClassificationHeavy);
+    TenantSut &mobilenet = shared.addTenant(
+        {}, models::TaskType::ImageClassificationLight);
+
+    loadgen::testing::FakeQsl qsl_a(1000, 256), qsl_b(1000, 256);
+    const auto results =
+        shared.run({{&resnet, &qsl_a, serverSettings(500.0, 15, 5000)},
+                    {&mobilenet, &qsl_b, serverSettings(800.0, 10, 5000)}});
+    ASSERT_EQ(results.size(), 2u);
+    EXPECT_EQ(results[0].queryCount, 5000u);
+    EXPECT_EQ(results[1].queryCount, 5000u);
+    EXPECT_TRUE(results[0].valid);
+    EXPECT_TRUE(results[1].valid);
+    EXPECT_EQ(results[0].droppedQueries, 0u);
+    EXPECT_EQ(resnet.stats().completedOk, 5000u);
+    EXPECT_EQ(mobilenet.stats().completedOk, 5000u);
+}
+
+TEST(MultiTenant, BackgroundTenantDegradesForeground)
+{
+    // Tenant A alone vs tenant A next to a heavy co-tenant: the
+    // shared worker makes A's tail latency strictly worse.
+    auto run_a = [](bool with_background) {
+        ProfilePlatform shared(noiselessProfile(1e13, 4), 1);
+        TenantSut &resnet = shared.addTenant(
+            {}, models::TaskType::ImageClassificationHeavy);
+        loadgen::testing::FakeQsl qsl_a(1000, 256), qsl_b(1000, 256);
+        std::vector<loadgen::LoadGen::Tenant> tenants = {
+            {&resnet, &qsl_a, serverSettings(300.0, 15, 3000)}};
+        if (with_background) {
+            // SSD-R34: a huge per-query cost at a low rate.
+            TenantSut &ssd = shared.addTenant(
+                {}, models::TaskType::ObjectDetectionHeavy);
+            tenants.push_back(
+                {&ssd, &qsl_b, serverSettings(10.0, 500, 1000)});
+        }
+        return shared.run(tenants)[0];
+    };
+    const loadgen::TestResult alone = run_a(false);
+    const loadgen::TestResult contended = run_a(true);
+    EXPECT_GT(contended.latency.p99, alone.latency.p99);
+}
+
+TEST(MultiTenant, AdmissionBudgetShieldsInteractiveTenantFromOverload)
+{
+    // A Batch-class tenant offers ~3x the pool's capacity. Its
+    // in-flight budget (16 samples) caps what it can queue ahead of
+    // anyone else, so an Interactive tenant's run stays valid with
+    // every sample answered Ok, and the overload is shed at the heavy
+    // tenant's own admission. Stripping the budget shows it is the
+    // guard: the shared queue then fills and the Interactive tenant
+    // loses samples.
+    struct Outcome
+    {
+        loadgen::TestResult result;
+        StatsSnapshot interactive;
+        StatsSnapshot heavy;
+    };
+    auto run = [](bool budgeted) {
+        ProfilePlatform shared(noiselessProfile(1e13, 4), 2);
+        TenantPolicy light;
+        light.name = "interactive";
+        light.slo = SloClass::Interactive;
+        TenantSut &interactive = shared.addTenant(
+            light, models::TaskType::ImageClassificationLight);
+        TenantPolicy bulk;
+        bulk.name = "bulk";
+        bulk.slo = SloClass::Batch;
+        if (budgeted) {
+            bulk.admission = {16, 0};
+        } else {
+            bulk.sloDefaults = false;
+        }
+        TenantSut &heavy = shared.addTenant(
+            bulk, models::TaskType::ImageClassificationHeavy);
+
+        loadgen::testing::FakeQsl qsl_a(1000, 256), qsl_b(1000, 256);
+        const auto results = shared.run(
+            {{&interactive, &qsl_a, serverSettings(200.0, 50, 2000)},
+             {&heavy, &qsl_b, serverSettings(10000.0, 500, 100000)}});
+        return Outcome{results[0], interactive.stats(), heavy.stats()};
+    };
+
+    const Outcome guarded = run(true);
+    EXPECT_TRUE(guarded.result.valid);
+    EXPECT_EQ(guarded.interactive.samplesIssued, 2000u);
+    EXPECT_EQ(guarded.interactive.completedOk, 2000u);
+    EXPECT_EQ(guarded.interactive.admissionShedSamples, 0u);
+    EXPECT_EQ(guarded.interactive.completedTimeout, 0u);
+    EXPECT_GT(guarded.heavy.admissionShedSamples,
+              guarded.heavy.samplesIssued / 2);
+
+    const Outcome unguarded = run(false);
+    EXPECT_LT(unguarded.interactive.completedOk,
+              unguarded.interactive.samplesIssued);
 }
 
 // --------------------------------------------- harness-level LoadGen

@@ -190,13 +190,12 @@ TEST(SimulatedSut, BatchWindowAccumulates)
 TEST(SimulatedSut, BatchingImprovesThroughput)
 {
     const HardwareProfile p = testProfile();
-    sim::VirtualExecutor ex;
-    SimulatedSut sut(ex, p, testCost());
+    const ModelCost cost = testCost();
     // Roofline throughput grows with batch (saturating).
-    EXPECT_GT(sut.steadyStateThroughput(32),
-              2.0 * sut.steadyStateThroughput(1));
-    EXPECT_GE(sut.steadyStateThroughput(32),
-              sut.steadyStateThroughput(8));
+    EXPECT_GT(steadyStateThroughput(p, cost, 32),
+              2.0 * steadyStateThroughput(p, cost, 1));
+    EXPECT_GE(steadyStateThroughput(p, cost, 32),
+              steadyStateThroughput(p, cost, 8));
 }
 
 TEST(SimulatedSut, WorkVariabilityChangesPerSampleTime)
