@@ -31,6 +31,7 @@
 #include <map>
 #include <new>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/bench_json.h"
@@ -95,7 +96,7 @@ namespace {
 
 constexpr size_t kSlots = 8;
 constexpr uint64_t kSequences = 384;
-constexpr int kReps = 5;  //!< paired reps: wall-clock noise control
+constexpr int kReps = 9;  //!< paired reps: wall-clock noise control
 
 /** Records per-sequence TTFT (issue to first token) and responses. */
 class StreamProbe : public loadgen::ResponseDelegate
@@ -366,6 +367,9 @@ main()
     bench::JsonWriter json;
     json.beginObject()
         .field("benchmark", "decode_batching")
+        .field("cpus", static_cast<uint64_t>(std::max(
+                           1u, std::thread::hardware_concurrency())))
+        .field("paired_reps", static_cast<uint64_t>(kReps))
         .field("slots", static_cast<uint64_t>(kSlots))
         .field("sequences", kSequences);
     json.beginArray("axes");

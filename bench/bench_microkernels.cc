@@ -3,9 +3,11 @@
  * DeepBench-style microbenchmarks (google-benchmark) of the compute
  * kernels underlying the proxy models: FP32 GEMM (packed/parallel vs
  * the seed's tiled kernel vs naive), im2col convolution with
- * batch-dim threading, depthwise convolution, INT8 GEMM, and the
- * LSTM cell — "kernel-level operations ... important for performance
- * in production models" (Sec. VIII's discussion of DeepBench).
+ * batch-dim threading, depthwise convolution, INT8 GEMM, the LSTM
+ * cell, and the streaming decoder's phases (its two dense shapes
+ * unpacked vs prepacked, one decode step, one prefill) — "kernel-level
+ * operations ... important for performance in production models"
+ * (Sec. VIII's discussion of DeepBench).
  *
  * Every kernel benchmark reports a GFLOPS counter so the kernel-perf
  * trajectory is comparable across PRs. The prepacked-constant
@@ -32,6 +34,9 @@
 #include "common/bench_json.h"
 #include "common/parallel.h"
 #include "common/rng.h"
+#include "data/translation.h"
+#include "models/stream_decoder.h"
+#include "nn/decoder.h"
 #include "nn/init.h"
 #include "nn/layers.h"
 #include "nn/plan.h"
@@ -486,6 +491,114 @@ BM_LstmCellStep(benchmark::State &state)
     setFlops(state, static_cast<int64_t>(cell.flopsPerStep()));
 }
 BENCHMARK(BM_LstmCellStep)->Arg(32)->Arg(128);
+
+/**
+ * The decoder's dense shapes at batch 1 (x [1, 32] against a [out, 32]
+ * weight): out = 2048 is the GNMT vocab head, out = 128 one LSTM gate
+ * projection. prepack = 0 runs denseForward on the unpacked weight,
+ * prepack = 1 gemmPrepacked on the packed one (bit-identical output).
+ */
+void
+BM_DecoderDense(benchmark::State &state)
+{
+    const int64_t out = state.range(0);
+    const bool prepack = state.range(1) != 0;
+    constexpr int64_t kIn = 32;
+    Tensor w = randomTensor(Shape{out, kIn}, 21);
+    Tensor x = randomTensor(Shape{1, kIn}, 22);
+    std::vector<float> bias(static_cast<size_t>(out), 0.5f);
+    Tensor y(Shape{1, out});
+    const tensor::PackedMatrix packed =
+        tensor::packMatrixB(w.data(), kIn, out, /*b_trans=*/true);
+    tensor::GemmEpilogue with_bias;
+    with_bias.bias = bias.data();
+    ThreadPool::setGlobalThreads(1);
+    for (auto _ : state) {
+        if (prepack)
+            tensor::gemmPrepacked(x.data(), packed, y.data(), 1, out, kIn,
+                                  with_bias);
+        else
+            tensor::denseForward(w.data(), bias.data(), x.data(),
+                                 y.data(), 1, kIn, out);
+        benchmark::DoNotOptimize(y.data());
+    }
+    setFlops(state, 2 * out * kIn);
+}
+BENCHMARK(BM_DecoderDense)
+    ->ArgsProduct({{128, 2048}, {0, 1}})
+    ->ArgNames({"out", "prepack"});
+
+/** The GNMT decoder the end-to-end benchmark serves: vocab 2,048,
+ *  sources of 2-64 words, queryGain 16. */
+struct GnmtDecoderFixture
+{
+    data::TranslationDataset dataset{[] {
+        data::TranslationConfig config;
+        config.sampleCount = 128;
+        config.minLength = 2;
+        config.maxLength = 64;
+        config.vocabSize = 2048;
+        return config;
+    }()};
+    nn::DecoderModel model{models::makeStreamDecoder(dataset, [] {
+        models::TranslatorArch arch;
+        arch.queryGain = 16.0;
+        return arch;
+    }())};
+    nn::DecodeScratch scratch{model.makeScratch()};
+
+    nn::DecodeState
+    newState() const
+    {
+        return nn::DecodeState(model.arch().maxSrcSteps,
+                               model.arch().embedDim);
+    }
+};
+
+/**
+ * One decodeStep per iteration, round-robin over the dataset's
+ * sequences: a finished sequence is re-armed from its encoded copy
+ * (one 8 KB state copy per ~30 steps, inside the timing).
+ */
+void
+BM_DecodeStep(benchmark::State &state)
+{
+    ThreadPool::setGlobalThreads(1);
+    GnmtDecoderFixture f;
+    std::vector<nn::DecodeState> encoded;
+    for (int64_t i = 0; i < f.dataset.size(); ++i) {
+        encoded.push_back(f.newState());
+        f.model.encode(f.dataset.source(i), encoded.back(), f.scratch);
+    }
+    nn::DecodeState work = encoded[0];
+    size_t next = 1;
+    for (auto _ : state) {
+        if (work.finished())
+            work = encoded[next++ % encoded.size()];
+        benchmark::DoNotOptimize(f.model.decodeStep(work, f.scratch));
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_DecodeStep);
+
+/** One prefill (encoder pass) per iteration, cycling the sources. */
+void
+BM_Prefill(benchmark::State &state)
+{
+    ThreadPool::setGlobalThreads(1);
+    GnmtDecoderFixture f;
+    std::vector<std::vector<int64_t>> sources;
+    for (int64_t i = 0; i < f.dataset.size(); ++i)
+        sources.push_back(f.dataset.source(i));
+    nn::DecodeState work = f.newState();
+    size_t next = 0;
+    for (auto _ : state) {
+        f.model.encode(sources[next++ % sources.size()], work, f.scratch);
+        benchmark::DoNotOptimize(work.sourceSteps());
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_Prefill);
 
 /** Small ResNet-class model for the eager-vs-compiled comparison. */
 nn::Sequential

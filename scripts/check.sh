@@ -18,7 +18,10 @@
 # demand dispatch with the per-worker CPU budget (concurrent producers
 # against window-0 batchers, workers bound to their intra-op share),
 # and the one batch-outcome policy driven through every worker pool
-# (PoolOutcome). The intra-op pool's zero-allocation test runs with
+# (PoolOutcome), and the decoder's vector kernels (the prepacked
+# small-shape GEMM path, the LSTM gate activations and the argmax,
+# each against its scalar reference). The intra-op pool's
+# zero-allocation test runs with
 # the ThreadPool suite but skips itself under the sanitizers, whose
 # allocators it cannot count.
 # The AddressSanitizer build also runs UndefinedBehaviorSanitizer and
@@ -43,7 +46,7 @@ command -v ninja > /dev/null 2>&1 && GENERATOR="-G Ninja"
 run_suite() {
     build_dir="$1"
     ctest --test-dir "$build_dir" --output-on-failure \
-          -R 'BoundedQueue|DynamicBatcher|ThreadWorkerPool|EventWorkerPool|PoolOutcome|ServingSut|HarnessServing|ProfileBatchInference|CircuitBreaker|AdmissionController|ResilientInference|CompletionTracker|FaultInjecting|LoadGen|Scenario|Server|Offline|RealExecutor|VirtualExecutor|Logging|ThreadPool|ScratchArena|GemmParallel|ConvParallel|GemmInt8|GemmPrepacked|Int8Prepacked|CompiledModel|ModelGraph|MemoryPlanner|ModelRegistry|DagPipeline|ServingPlatform|TenantSut|MultiTenantServing|MpscRing|ShardRouting|ShardedWorkerPool|ServingSutSharded|ShardedPlatform|ServingStats|BoundedQueuePopFor|ConvDirect|NchwcLayout|LayoutPropagation|Ewma|HysteresisLatch|ShardAutoscaler|ElasticShards|AutoscaledServingSut|TraceArrivals|BurstyArrivalProperties|MeasurementAudit|ParseRecordedTrace|ContinuousBatcher|DecoderEngine|DecoderModel|DecodeStatePool|TokenStream|DemandDispatch|DemandQueue|CpuBudget|IntraOpBinding'
+          -R 'BoundedQueue|DynamicBatcher|ThreadWorkerPool|EventWorkerPool|PoolOutcome|ServingSut|HarnessServing|ProfileBatchInference|CircuitBreaker|AdmissionController|ResilientInference|CompletionTracker|FaultInjecting|LoadGen|Scenario|Server|Offline|RealExecutor|VirtualExecutor|Logging|ThreadPool|ScratchArena|GemmParallel|ConvParallel|GemmInt8|GemmPrepacked|Int8Prepacked|CompiledModel|ModelGraph|MemoryPlanner|ModelRegistry|DagPipeline|ServingPlatform|TenantSut|MultiTenantServing|MpscRing|ShardRouting|ShardedWorkerPool|ServingSutSharded|ShardedPlatform|ServingStats|BoundedQueuePopFor|ConvDirect|NchwcLayout|LayoutPropagation|Ewma|HysteresisLatch|ShardAutoscaler|ElasticShards|AutoscaledServingSut|TraceArrivals|BurstyArrivalProperties|MeasurementAudit|ParseRecordedTrace|ContinuousBatcher|DecoderEngine|DecoderModel|DecodeStatePool|TokenStream|DemandDispatch|DemandQueue|CpuBudget|IntraOpBinding|PrepackedSmallPath|GateActivations|ArgmaxRow'
 }
 
 if [ "$MODE" = "tier1" ]; then

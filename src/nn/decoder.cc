@@ -4,7 +4,10 @@
 #include <cassert>
 #include <cstring>
 
-#include "tensor/gemm.h"
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#define MLPERF_DECODER_X86_DISPATCH 1
+#include <immintrin.h>
+#endif
 
 namespace mlperf {
 namespace nn {
@@ -14,10 +17,11 @@ using tensor::Tensor;
 
 namespace {
 
-/** Argmax over a raw logits row (first index wins ties, like
-    argmaxRows, so the eager and incremental paths agree exactly). */
+using ArgmaxFn = int64_t (*)(const float *logits, int64_t n);
+
+/** First index wins ties, like argmaxRows. */
 int64_t
-argmaxRow(const float *logits, int64_t n)
+argmaxRowScalar(const float *logits, int64_t n)
 {
     int64_t best = 0;
     for (int64_t v = 1; v < n; ++v) {
@@ -27,7 +31,73 @@ argmaxRow(const float *logits, int64_t n)
     return best;
 }
 
+#if MLPERF_DECODER_X86_DISPATCH
+/**
+ * Two passes: the maximum (four independent max chains), then the
+ * first index comparing equal to it. == treats -0 and +0 as one
+ * value, as the scalar loop's > does, so ties resolve alike.
+ */
+__attribute__((target("avx2"))) int64_t
+argmaxRowAvx2(const float *logits, int64_t n)
+{
+    if (n < 8)
+        return argmaxRowScalar(logits, n);
+    __m256 m0 = _mm256_loadu_ps(logits);
+    __m256 m1 = m0, m2 = m0, m3 = m0;
+    int64_t v = 8;
+    for (; v + 32 <= n; v += 32) {
+        m0 = _mm256_max_ps(m0, _mm256_loadu_ps(logits + v));
+        m1 = _mm256_max_ps(m1, _mm256_loadu_ps(logits + v + 8));
+        m2 = _mm256_max_ps(m2, _mm256_loadu_ps(logits + v + 16));
+        m3 = _mm256_max_ps(m3, _mm256_loadu_ps(logits + v + 24));
+    }
+    for (; v + 8 <= n; v += 8)
+        m0 = _mm256_max_ps(m0, _mm256_loadu_ps(logits + v));
+    m0 = _mm256_max_ps(_mm256_max_ps(m0, m1), _mm256_max_ps(m2, m3));
+    alignas(32) float lanes[8];
+    _mm256_store_ps(lanes, m0);
+    float best = lanes[0];
+    for (int l = 1; l < 8; ++l)
+        best = lanes[l] > best ? lanes[l] : best;
+    for (; v < n; ++v)
+        best = logits[v] > best ? logits[v] : best;
+
+    const __m256 target = _mm256_set1_ps(best);
+    for (v = 0; v + 8 <= n; v += 8) {
+        const int hits = _mm256_movemask_ps(_mm256_cmp_ps(
+            _mm256_loadu_ps(logits + v), target, _CMP_EQ_OQ));
+        if (hits != 0)
+            return v + __builtin_ctz(static_cast<unsigned>(hits));
+    }
+    for (; v < n; ++v) {
+        if (logits[v] == best)
+            return v;
+    }
+    return 0;  // only NaN input gets here
+}
+#endif
+
+/** Resolved once from CPUID, like the GEMM micro-kernels. */
+ArgmaxFn
+resolveArgmax()
+{
+#if MLPERF_DECODER_X86_DISPATCH
+    __builtin_cpu_init();
+    if (__builtin_cpu_supports("avx2"))
+        return argmaxRowAvx2;
+#endif
+    return argmaxRowScalar;
+}
+
+const ArgmaxFn kArgmaxRow = resolveArgmax();
+
 } // namespace
+
+int64_t
+argmaxRow(const float *logits, int64_t n)
+{
+    return kArgmaxRow(logits, n);
+}
 
 DecoderModel::DecoderModel(DecoderArch arch, Tensor embed_table,
                            Tensor pos_enc, LSTMCell encoder_cell,
@@ -37,6 +107,8 @@ DecoderModel::DecoderModel(DecoderArch arch, Tensor embed_table,
       posEnc_(std::move(pos_enc)),
       encoderCell_(std::move(encoder_cell)),
       decoderCell_(std::move(decoder_cell)), projW_(std::move(proj_w)),
+      projPacked_(tensor::packMatrixB(projW_.data(), arch_.embedDim,
+                                      arch_.vocab, /*b_trans=*/true)),
       projBias_(std::move(proj_bias))
 {
     assert(embed_.vocabSize() == arch_.vocab);
@@ -106,9 +178,7 @@ DecoderModel::decodeStep(DecodeState &state,
     dotAttentionInto(state.encStates_.data(), state.srcSteps_, dim,
                      scratch.query_.data(), scratch.context_.data(),
                      scratch.scores_.data());
-    tensor::denseForward(projW_.data(), projBias_.data(),
-                         scratch.context_.data(),
-                         scratch.logits_.data(), 1, dim, arch_.vocab);
+    vocabHead(scratch.context_.data(), scratch.logits_.data());
     const int64_t token = argmaxRow(scratch.logits_.data(), arch_.vocab);
 
     state.output_.push_back(token);
@@ -146,15 +216,22 @@ DecoderModel::padStep(const DecodeState &state,
     dotAttentionInto(state.encStates_.data(), state.srcSteps_, dim,
                      scratch.query_.data(), scratch.context_.data(),
                      scratch.scores_.data());
-    tensor::denseForward(projW_.data(), projBias_.data(),
-                         scratch.context_.data(),
-                         scratch.logits_.data(), 1, dim, arch_.vocab);
+    vocabHead(scratch.context_.data(), scratch.logits_.data());
     // A padded batch computes the argmax on every lane too and masks
     // the result afterwards; skipping it here would make padding
     // cheaper than the equal-work claim. Result discarded.
     volatile int64_t sink =
         argmaxRow(scratch.logits_.data(), arch_.vocab);
     (void)sink;
+}
+
+void
+DecoderModel::vocabHead(const float *context, float *logits) const
+{
+    tensor::GemmEpilogue with_bias;
+    with_bias.bias = projBias_.data();
+    tensor::gemmPrepacked(context, projPacked_, logits, 1, arch_.vocab,
+                          arch_.embedDim, with_bias);
 }
 
 std::vector<int64_t>

@@ -13,11 +13,15 @@
  * is forced into so benches can assert the invariant.
  *
  * The incremental path is bit-identical to the unrolled eager
- * reference (referenceDecode) by construction: every step delegates
- * to the same stepInto/dotAttentionInto/denseForward calls at batch 1
- * with per-sequence buffers, so a sequence's compute never depends on
+ * reference (referenceDecode): every step runs the same
+ * stepInto/dotAttentionInto/argmaxRow calls at batch 1 with
+ * per-sequence buffers, so a sequence's compute never depends on
  * which other sequences share the batch — the property that makes
  * continuous batching (sequences joining/leaving mid-batch) safe.
+ * The one difference is the vocab head: decodeStep/padStep run it on
+ * a packed copy through gemmPrepacked, referenceDecode on the
+ * unpacked weight through denseForward, and the two agree bit for
+ * bit, so the reference doubles as a differential test of the kernel.
  */
 
 #ifndef MLPERF_NN_DECODER_H
@@ -28,10 +32,20 @@
 #include <vector>
 
 #include "nn/rnn.h"
+#include "tensor/gemm.h"
 #include "tensor/tensor.h"
 
 namespace mlperf {
 namespace nn {
+
+/**
+ * Index of the largest of @p n >= 1 floats, the first one on ties:
+ * for any finite or +-inf input, the answer of the scalar loop
+ * `if (x[v] > x[best]) best = v`. An AVX2 body (chosen once from
+ * CPUID) finds the maximum, then the first index comparing equal to
+ * it; other hosts run the scalar loop.
+ */
+int64_t argmaxRow(const float *logits, int64_t n);
 
 /** Everything that shapes the decoder besides its weights. */
 struct DecoderArch
@@ -219,12 +233,16 @@ class DecoderModel
     uint64_t flopsPerToken(int64_t src_steps) const;
 
   private:
+    /** logits = projW_ context + projBias_, on the packed head. */
+    void vocabHead(const float *context, float *logits) const;
+
     DecoderArch arch_;
     Embedding embed_;
     tensor::Tensor posEnc_;
     LSTMCell encoderCell_;
     LSTMCell decoderCell_;
-    tensor::Tensor projW_;          //!< [vocab, dim]
+    tensor::Tensor projW_;          //!< [vocab, dim]: referenceDecode
+    tensor::PackedMatrix projPacked_;  //!< projW_ packed: decodeStep
     std::vector<float> projBias_;
 };
 

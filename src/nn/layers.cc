@@ -112,7 +112,9 @@ class PreparedConv2dDirect final : public PreparedKernel
 };
 
 /** Dense weights packed (transpose absorbed) as the B operand, with
- *  bias + ReLU fused into the kernel epilogue. */
+ *  bias + ReLU fused into the kernel epilogue. gemmPrepacked matches
+ *  denseForward + ReLU bit for bit at every shape, so compiled results
+ *  equal Layer::forward without a dispatch here. */
 class PreparedDense final : public PreparedKernel
 {
   public:
@@ -121,7 +123,7 @@ class PreparedDense final : public PreparedKernel
         : weights_(tensor::packMatrixB(
               weight.data(), weight.shape().dim(1),
               weight.shape().dim(0), /*b_trans=*/true)),
-          raw_(weight), bias_(bias), relu_(relu)
+          bias_(bias), relu_(relu)
     {
     }
 
@@ -133,21 +135,6 @@ class PreparedDense final : public PreparedKernel
         const int64_t batch = in_shape.dim(0);
         const int64_t in = in_shape.dim(1);
         const int64_t features = weights_.cols();
-        // Mirror the eager kernel's small-shape dispatch so compiled
-        // results stay bit-identical to Layer::forward at every shape;
-        // there is no pack step to skip below the threshold anyway.
-        if (tensor::gemmUsesSmallPath(batch, features, in)) {
-            tensor::denseForward(raw_.data(),
-                                 bias_.empty() ? nullptr : bias_.data(),
-                                 input, out, batch, in, features);
-            if (relu_) {
-                for (int64_t i = 0; i < batch * features; ++i) {
-                    if (out[i] < 0.0f)
-                        out[i] = 0.0f;
-                }
-            }
-            return;
-        }
         tensor::GemmEpilogue epilogue;
         epilogue.bias = bias_.empty() ? nullptr : bias_.data();
         epilogue.biasPerRow = false;  // C columns are output features
@@ -160,7 +147,6 @@ class PreparedDense final : public PreparedKernel
 
   private:
     tensor::PackedMatrix weights_;
-    const Tensor &raw_;               //!< owned by the layer
     const std::vector<float> &bias_;  //!< owned by the layer
     bool relu_;
 };

@@ -12,10 +12,27 @@
 #include <cstdint>
 #include <vector>
 
+#include "tensor/gemm.h"
 #include "tensor/tensor.h"
 
 namespace mlperf {
 namespace nn {
+
+/**
+ * The LSTM gate activations over @p n floats, vectorized: y =
+ * 1 / (1 + exp(-x)) and y = tanh(x) (@p y may alias @p x). exp is a
+ * Cephes-style range reduction plus polynomial; tanh uses x + x^3
+ * P(x^2) below |x| = 0.625 and 1 - 2 / (exp(2|x|) + 1) above. An AVX2
+ * body and a portable body, chosen once from CPUID, run the same
+ * operations in the same order (tail lanes run the portable scalar
+ * form), so results do not depend on the host. Against std::exp /
+ * std::tanh on finite input the error is at most 2^-23 absolute
+ * (one unit in the last place of 1.0) and 4 ulp relative wherever the
+ * result's magnitude is at least 2^-120; both are exactly 0 at 0
+ * (sigmoid(0) = 0.5) and saturate to exactly 1 / +-1.
+ */
+void sigmoidInto(const float *x, float *y, int64_t n);
+void tanhInto(const float *x, float *y, int64_t n);
 
 /** Token-id -> dense vector lookup table. */
 class Embedding
@@ -49,6 +66,9 @@ class Embedding
 /**
  * Single LSTM cell. Gate layout in the packed weight matrices is
  * [i; f; g; o] (input, forget, cell, output), each of size hidden.
+ * The weights are packed once at construction for gemmPrepacked,
+ * whose result equals denseForward's bit for bit, so the cell is
+ * move-only.
  */
 class LSTMCell
 {
@@ -85,16 +105,16 @@ class LSTMCell
     void stepInto(const float *x, int64_t batch, float *h, float *c,
                   float *gates, float *rec) const;
 
-    int64_t inputSize() const { return wX_.shape().dim(1); }
-    int64_t hiddenSize() const { return wH_.shape().dim(1); }
+    int64_t inputSize() const { return wX_.rows(); }
+    int64_t hiddenSize() const { return wH_.rows(); }
     uint64_t paramCount() const;
 
     /** MAC-dominated op count (x2) for one step at batch 1. */
     uint64_t flopsPerStep() const;
 
   private:
-    tensor::Tensor wX_;
-    tensor::Tensor wH_;
+    tensor::PackedMatrix wX_;  //!< W_x^T as B: [input, 4*hidden]
+    tensor::PackedMatrix wH_;  //!< W_h^T as B: [hidden, 4*hidden]
     std::vector<float> bias_;
 };
 

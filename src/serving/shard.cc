@@ -345,11 +345,10 @@ ShardedWorkerPool::publish(Shard &shard, CompletionRecord &&record)
 void
 ShardedWorkerPool::wakeDrainerIfIdle()
 {
-    // Pairs with the fence in drainerLoop(): either this thread sees
-    // drainerIdle_ and rings the bell, or the drainer's post-idle
-    // ring recheck sees our push. The bounded wait covers the rest.
-    std::atomic_thread_fence(std::memory_order_seq_cst);
-    if (!drainerIdle_.load(kRelaxed))
+    // The check is a read-modify-write that writes nothing new, so it
+    // takes a place in drainerIdle_'s modification order like the
+    // drainer's two exchanges (see drainerLoop()).
+    if (drainerIdle_.fetch_or(0, std::memory_order_acq_rel) == 0)
         return;
     {
         std::lock_guard<std::mutex> lock(wakeMutex_);
@@ -386,8 +385,21 @@ ShardedWorkerPool::drainerLoop()
             }
             return;
         }
-        drainerIdle_.store(true, kRelaxed);
-        std::atomic_thread_fence(std::memory_order_seq_cst);
+        // No lost wake-up. Every access to drainerIdle_ is an acq_rel
+        // read-modify-write (which ThreadSanitizer models, unlike a
+        // fence); RMWs on one atomic are totally ordered and each
+        // reads the one before it. Take a publisher's check P, which
+        // follows its ring push. If P reads 1, the publisher rings the
+        // bell: this thread holds wakeMutex_ from before the announce
+        // until wait_for releases it, so the notify cannot land ahead
+        // of the wait. If P reads 0, or the wait timed out before the
+        // bell, this thread's next announce A comes after P. Every RMW
+        // after P continues the release sequence P heads, so A
+        // synchronizes-with P whatever it reads, and the recheck after
+        // A sees the push. Hence the un-idle is an RMW too: a plain
+        // store between P and A would end P's release sequence, and A
+        // reading it would order nothing.
+        drainerIdle_.exchange(1, std::memory_order_acq_rel);
         bool pending = false;
         for (auto &shard : shards_) {
             if (!shard->ring.empty()) {
@@ -397,7 +409,7 @@ ShardedWorkerPool::drainerLoop()
         }
         if (!pending)
             wakeCv_.wait_for(lock, std::chrono::milliseconds(1));
-        drainerIdle_.store(false, kRelaxed);
+        drainerIdle_.exchange(0, std::memory_order_acq_rel);
     }
 }
 

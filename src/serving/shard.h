@@ -258,14 +258,15 @@ class ShardedWorkerPool : public WorkerPool
     alignas(64) std::atomic<uint64_t> fastPathLocks_{0};
     std::atomic<uint64_t> ringFallbacks_{0};
 
-    // Drainer wake protocol: publishers peek drainerIdle_ (relaxed
-    // load behind a seq_cst fence) and only touch the mutex when the
-    // drainer actually sleeps; the drainer re-checks the rings after
-    // raising the flag, and the bounded wait makes any lost wake-up
-    // a <=1 ms delay instead of a hang.
+    // Drainer wake protocol: publishers check drainerIdle_ (an
+    // acq_rel fetch_or(0)) and only touch the mutex when the drainer
+    // actually sleeps; the drainer re-checks the rings after raising
+    // the flag. Every access is an RMW, which is what makes the
+    // protocol lose no wake-up (drainerLoop() has the argument); the
+    // bounded wait stays as a backstop, never a hang.
     std::mutex wakeMutex_;
     std::condition_variable wakeCv_;
-    std::atomic<bool> drainerIdle_{false};
+    std::atomic<unsigned> drainerIdle_{0};
     bool drainerStop_ = false;  //!< guarded by wakeMutex_
 };
 

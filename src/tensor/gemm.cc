@@ -184,7 +184,10 @@ microKernelEdge(int64_t kc, const float *ap, const float *bp, float *c,
             c[r * ldc + j] += tmp[r * kNr + j];
 }
 
-/** Simple accumulating kernel for shapes too small to repack. */
+/** Simple accumulating kernel for shapes too small to repack. The
+ *  prepacked small path (gemmSmallPanels*) reproduces its arithmetic
+ *  per output: acc from +0.0f, k ascending, multiply and add rounded
+ *  separately, then C = 0 + acc. */
 void
 gemmSmall(const float *a, const float *b, float *c,
           int64_t m, int64_t n, int64_t k, bool b_trans)
@@ -302,6 +305,20 @@ applyEpilogueTile(float *c, int64_t ldc, int64_t mr, int64_t nr,
     }
 }
 
+/**
+ * Finish @p nr outputs of one small-path C row from their
+ * accumulators: C = 0 + acc (gemmSmall adds acc into a zeroed C),
+ * then the epilogue, whose bias add and ReLU follow denseForward's.
+ */
+void
+finishSmallRow(const float *acc, float *c, int64_t nr, int64_t row,
+               int64_t col, const GemmEpilogue &ep)
+{
+    for (int64_t j = 0; j < nr; ++j)
+        c[j] = 0.0f + acc[j];
+    applyEpilogueTile(c, nr, 1, nr, row, col, ep);
+}
+
 /** 64-byte-aligned allocation for a PackedMatrix of @p floats. */
 float *
 allocPacked(int64_t floats, int64_t *bytes_out)
@@ -326,6 +343,165 @@ gemmImpl(const float *a, const float *b, float *c,
     else
         gemmPacked(a, b, c, m, n, k, b_trans);
 }
+
+} // namespace
+
+namespace detail {
+
+/**
+ * gemmPrepacked's small-shape body, portable form. Each output runs
+ * gemmSmall's operation sequence over the packed B panels (k-major,
+ * kNr outputs each; blocks jc-major then pc, so block (jc, pc) starts
+ * at jc * k + pc * roundUp(nc, kNr)), with the accumulator carried
+ * across k blocks in ascending k. The AVX2 body below does the same
+ * arithmetic eight outputs at a time.
+ */
+void
+gemmSmallPanelsPortable(const float *a, const float *panels, float *c,
+                        int64_t m, int64_t n, int64_t k,
+                        const GemmEpilogue &ep)
+{
+    for (int64_t jc = 0; jc < n; jc += kNc) {
+        const int64_t nc = std::min(kNc, n - jc);
+        const int64_t nc_padded = roundUp(nc, kNr);
+        for (int64_t jr = 0; jr < nc; jr += kNr) {
+            for (int64_t i = 0; i < m; ++i) {
+                float acc[kNr] = {};
+                for (int64_t pc = 0; pc < k; pc += kKc) {
+                    const int64_t kc = std::min(kKc, k - pc);
+                    const float *bp =
+                        panels + jc * k + pc * nc_padded + jr * kc;
+                    const float *a_k = a + i * k + pc;
+                    for (int64_t kk = 0; kk < kc; ++kk)
+                        for (int64_t j = 0; j < kNr; ++j)
+                            acc[j] += a_k[kk] * bp[kk * kNr + j];
+                }
+                finishSmallRow(acc, c + i * n + jc + jr,
+                               std::min(kNr, nc - jr), i, jc + jr, ep);
+            }
+        }
+    }
+}
+
+} // namespace detail
+
+namespace {
+
+using SmallPanelsFn = void (*)(const float *a, const float *panels,
+                               float *c, int64_t m, int64_t n, int64_t k,
+                               const GemmEpilogue &ep);
+
+#if MLPERF_GEMM_X86_DISPATCH
+/**
+ * @p G adjacent panels (16 * G outputs) of one C row: the portable
+ * body's arithmetic, one _mm256_mul_ps then one _mm256_add_ps per
+ * step. The target leaves out "fma" and gemm.cc is built with
+ * -ffp-contract=off, so no multiply-add can be fused. @p nr counts the
+ * valid outputs from the group's first column on.
+ */
+template <int G>
+__attribute__((target("avx2"))) inline void
+smallPanelRowAvx2(const float *a_row, const float *block, int64_t k,
+                  int64_t nc_padded, int64_t jr, float *c_row,
+                  int64_t nr, int64_t row, int64_t col,
+                  const GemmEpilogue &ep)
+{
+    __m256 acc[2 * G];
+    for (int p = 0; p < 2 * G; ++p)
+        acc[p] = _mm256_setzero_ps();
+    for (int64_t pc = 0; pc < k; pc += kKc) {
+        const int64_t kc = std::min(kKc, k - pc);
+        const float *bp = block + pc * nc_padded + jr * kc;
+        for (int64_t kk = 0; kk < kc; ++kk) {
+            const __m256 av = _mm256_broadcast_ss(a_row + pc + kk);
+            for (int p = 0; p < G; ++p) {
+                const float *b = bp + p * kc * kNr + kk * kNr;
+                acc[2 * p] = _mm256_add_ps(
+                    acc[2 * p], _mm256_mul_ps(av, _mm256_loadu_ps(b)));
+                acc[2 * p + 1] = _mm256_add_ps(
+                    acc[2 * p + 1],
+                    _mm256_mul_ps(av, _mm256_loadu_ps(b + 8)));
+            }
+        }
+    }
+
+    const __m256 zero = _mm256_setzero_ps();
+    for (int p = 0; p < G; ++p) {
+        const int64_t cols = std::min(kNr, nr - p * kNr);
+        float *out = c_row + p * kNr;
+        if (cols < kNr) {
+            alignas(32) float tmp[kNr];
+            _mm256_store_ps(tmp, acc[2 * p]);
+            _mm256_store_ps(tmp + 8, acc[2 * p + 1]);
+            finishSmallRow(tmp, out, cols, row, col + p * kNr, ep);
+            continue;
+        }
+        __m256 v0 = _mm256_add_ps(zero, acc[2 * p]);
+        __m256 v1 = _mm256_add_ps(zero, acc[2 * p + 1]);
+        if (ep.bias != nullptr) {
+            if (ep.biasPerRow) {
+                const __m256 bv = _mm256_broadcast_ss(ep.bias + row);
+                v0 = _mm256_add_ps(v0, bv);
+                v1 = _mm256_add_ps(v1, bv);
+            } else {
+                const float *bv = ep.bias + col + p * kNr;
+                v0 = _mm256_add_ps(v0, _mm256_loadu_ps(bv));
+                v1 = _mm256_add_ps(v1, _mm256_loadu_ps(bv + 8));
+            }
+        }
+        if (ep.relu) {
+            // max(+0, v) returns v when both are zeros or v is NaN:
+            // exactly `v < 0 ? 0 : v`.
+            v0 = _mm256_max_ps(zero, v0);
+            v1 = _mm256_max_ps(zero, v1);
+        }
+        _mm256_storeu_ps(out, v0);
+        _mm256_storeu_ps(out + 8, v1);
+    }
+}
+
+/** The AVX2 small-shape body: four panels (64 outputs, 8 independent
+ *  accumulator chains) per pass, single panels for the remainder. */
+__attribute__((target("avx2"))) void
+gemmSmallPanelsAvx2(const float *a, const float *panels, float *c,
+                    int64_t m, int64_t n, int64_t k,
+                    const GemmEpilogue &ep)
+{
+    constexpr int kGroup = 4;
+    for (int64_t jc = 0; jc < n; jc += kNc) {
+        const int64_t nc = std::min(kNc, n - jc);
+        const int64_t nc_padded = roundUp(nc, kNr);
+        const float *block = panels + jc * k;
+        int64_t jr = 0;
+        for (; jr + kGroup * kNr <= nc_padded; jr += kGroup * kNr) {
+            for (int64_t i = 0; i < m; ++i)
+                smallPanelRowAvx2<kGroup>(a + i * k, block, k, nc_padded,
+                                          jr, c + i * n + jc + jr,
+                                          nc - jr, i, jc + jr, ep);
+        }
+        for (; jr < nc_padded; jr += kNr) {
+            for (int64_t i = 0; i < m; ++i)
+                smallPanelRowAvx2<1>(a + i * k, block, k, nc_padded, jr,
+                                     c + i * n + jc + jr, nc - jr, i,
+                                     jc + jr, ep);
+        }
+    }
+}
+#endif
+
+/** Chosen once from CPUID, like kMicroKernel. */
+SmallPanelsFn
+resolveSmallPanels()
+{
+#if MLPERF_GEMM_X86_DISPATCH
+    __builtin_cpu_init();
+    if (__builtin_cpu_supports("avx2"))
+        return gemmSmallPanelsAvx2;
+#endif
+    return detail::gemmSmallPanelsPortable;
+}
+
+const SmallPanelsFn kSmallPanels = resolveSmallPanels();
 
 } // namespace
 
@@ -471,6 +647,13 @@ gemmPrepacked(const float *a, const PackedMatrix &b, float *c,
               const GemmEpilogue &epilogue)
 {
     assert(!b.aSide_ && b.rows_ == k && b.cols_ == n);
+    if (gemmUsesSmallPath(m, n, k)) {
+        // gemm()'s small-shape branch, on the packed panels: the same
+        // per-output arithmetic, so results match denseForward (+ the
+        // epilogue) bit for bit on this side of the threshold too.
+        kSmallPanels(a, b.data_.get(), c, m, n, k, epilogue);
+        return;
+    }
     std::memset(c, 0, static_cast<size_t>(m * n) * sizeof(float));
     const bool parallel =
         m * n * k >= kParallelMacs && !ThreadPool::inWorker();

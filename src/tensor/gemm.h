@@ -62,6 +62,11 @@ PackedMatrix packMatrixB(const float *b, int64_t k, int64_t n,
  * C = A * packedB, with an optional fused epilogue. Skips the per-call
  * packB of gemm() entirely: only the activation operand A is packed
  * (per-call, into the scratch arena). C is overwritten.
+ *
+ * Below the gemmUsesSmallPath() threshold it takes gemm()'s small-shape
+ * branch itself, reading the packed panels with gemmSmall's per-output
+ * arithmetic (vectorized across outputs). So at every shape the result
+ * is bit-identical to denseForward() followed by the epilogue.
  */
 void gemmPrepacked(const float *a, const PackedMatrix &b, float *c,
                    int64_t m, int64_t n, int64_t k,
@@ -100,6 +105,8 @@ class PackedMatrix
     /** Footprint of the packed constant data in bytes. */
     int64_t bytes() const { return bytes_; }
     bool empty() const { return data_ == nullptr; }
+    /** The packed panels, in kernel consume order. */
+    const float *data() const { return data_.get(); }
 
   private:
     friend PackedMatrix packMatrixA(const float *a, int64_t m,
@@ -142,9 +149,10 @@ void gemmNaive(const float *a, const float *b, float *c,
 
 /**
  * True when gemm()/denseForward() would take the unpacked small-shape
- * path (repacking overhead dominates below a MAC threshold). The
- * prepared layer kernels mirror this dispatch so compiled results
- * stay bit-identical to the eager kernels at every shape.
+ * path (repacking overhead dominates below a MAC threshold).
+ * gemmPrepacked() takes the same branch itself; the prepared conv
+ * kernel mirrors it so compiled results stay bit-identical to the
+ * eager kernels at every shape.
  */
 bool gemmUsesSmallPath(int64_t m, int64_t n, int64_t k);
 
