@@ -29,6 +29,7 @@
 #include <vector>
 
 #include "common/bench_json.h"
+#include "common/ledger_gate.h"
 #include "data/classification.h"
 #include "harness/experiment.h"
 #include "models/classifier.h"
@@ -249,6 +250,26 @@ main()
     const auto shared_4x = harness::runMultiTenantServing(
         *profile, withoutBudgets(burst), options, popts);
 
+    // Every tenant of every run: one terminal status per sample.
+    bool ledger_ok = true;
+    const struct
+    {
+        const char *label;
+        const harness::MultiTenantOutcome &out;
+    } runs[] = {{"solo", solo},
+                {"budgets 1x", budgets_1x},
+                {"budgets 4x", budgets_4x},
+                {"shared 4x", shared_4x}};
+    for (const auto &run : runs) {
+        for (const auto &tenant : run.out.tenants) {
+            ledger_ok = bench::ledgerHolds(
+                            strprintf("%s %s", run.label,
+                                      tenant.name.c_str()),
+                            tenant.stats, tenant.outcome.result) &&
+                        ledger_ok;
+        }
+    }
+
     const double solo_p99 = p99Ms(tenantNamed(solo, "tenantB-resnet"));
     const double b_1x = p99Ms(tenantNamed(budgets_1x, "tenantB-resnet"));
     const double b_4x = p99Ms(tenantNamed(budgets_4x, "tenantB-resnet"));
@@ -442,7 +463,7 @@ main()
     mlperf::bench::writeBenchJson(json, nullptr);
 
     return (profile && chain_exact && fan_exact && steady_allocs == 0 &&
-            isolated)
+            isolated && ledger_ok)
                ? 0
                : 1;
 }

@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "common/bench_json.h"
+#include "common/ledger_gate.h"
 #include "common/string_util.h"
 #include "loadgen/loadgen.h"
 #include "report/serving_report.h"
@@ -136,6 +137,7 @@ main()
     report::Table table({"Workers", "Max batch", "Achieved QPS",
                          "p99 (ms)", "Avg batch", "Shed"});
     bool first = true;
+    bool ledger_ok = true;
     for (int64_t workers : {1, 2, 4}) {
         for (int64_t max_batch : {1, 4, 8}) {
             sim::RealExecutor executor;
@@ -151,6 +153,12 @@ main()
 
             const RunNumbers n = numbersFrom(result);
             const serving::StatsSnapshot stats = sut.stats();
+            ledger_ok = bench::ledgerHolds(
+                            strprintf("%lld workers x batch %lld",
+                                      static_cast<long long>(workers),
+                                      static_cast<long long>(max_batch)),
+                            stats, result) &&
+                        ledger_ok;
             table.addRow({withThousands(workers),
                           withThousands(max_batch),
                           report::fmt(n.achievedQps, 1),
@@ -199,6 +207,7 @@ main()
 
         const RunNumbers n = numbersFrom(result);
         const serving::StatsSnapshot stats = sut.stats();
+        ledger_ok = bench::ledgerHolds("chaos", stats, result) && ledger_ok;
         const serving::ChaosCounters chaos = chaotic.counters();
         std::printf("\nChaos (1%% latency spikes, 4 workers x batch "
                     "8): %7.1f qps achieved, p99 %7.2f ms,\n"
@@ -208,7 +217,7 @@ main()
                     static_cast<unsigned long long>(
                         chaos.latencySpikes),
                     static_cast<unsigned long long>(
-                        stats.timeoutSamples));
+                        stats.completedTimeout));
         json += strprintf(
             ",\"chaos\":{\"latency_spike_prob\":%.3f,"
             "\"spike_ms\":%.1f,\"achieved_qps\":%.2f,"
@@ -285,6 +294,12 @@ main()
                 const loadgen::TestResult result =
                     lg.startTest(sut, qsl, settings);
                 sut.shutdown();
+                ledger_ok = bench::ledgerHolds(
+                                strprintf("%lld shard(s) at %.0f qps",
+                                          static_cast<long long>(shards),
+                                          target_qps),
+                                sut.stats(), result) &&
+                            ledger_ok;
                 struct
                 {
                     RunNumbers n;
@@ -372,5 +387,5 @@ main()
     // MLPERF_BENCH_JSON=<path> overrides the committed default so
     // the BENCH_* tracking scripts get machine-readable results.
     mlperf::bench::writeBenchJson(json, "BENCH_serving.json");
-    return 0;
+    return ledger_ok ? 0 : 1;
 }

@@ -35,6 +35,7 @@
 
 #include "audit/measurement_audit.h"
 #include "common/bench_json.h"
+#include "common/ledger_gate.h"
 #include "common/string_util.h"
 #include "loadgen/loadgen.h"
 #include "report/serving_report.h"
@@ -274,6 +275,7 @@ main()
                     .c_str());
 
     bool all_contracts_held = true;
+    bool ledger_ok = true;
     std::string json = strprintf(
         "{\"benchmark\":\"trace_replay\",\"mean_qps\":%.1f,"
         "\"per_sample_ms\":%.1f,\"slo_target_ms\":%.1f,",
@@ -300,8 +302,13 @@ main()
                              fixed.contractHeld && scaled.contractHeld;
 
         for (const auto *run : {&fixed, &scaled}) {
+            const char *config = run == &fixed ? "fixed-1" : "auto-1..4";
+            ledger_ok = bench::ledgerHolds(
+                            strprintf("%s %s", trace.name, config),
+                            run->stats, run->result) &&
+                        ledger_ok;
             table.addRow(
-                {trace.name, run == &fixed ? "fixed-1" : "auto-1..4",
+                {trace.name, config,
                  report::fmt(ms(run->result.latency.p99), 2),
                  report::fmt(ms(run->result.correctedTailLatencyNs),
                              2),
@@ -343,7 +350,7 @@ main()
             audit_settings);
     const audit::AuditVerdict open_verdict =
         audit::coordinatedOmissionTest(
-            [](const loadgen::TestSettings &settings) {
+            [&ledger_ok](const loadgen::TestSettings &settings) {
                 SleepingBatchInference sleeper;
                 sim::RealExecutor executor;
                 serving::ServingOptions options;
@@ -355,6 +362,9 @@ main()
                 loadgen::LoadGen lg(executor);
                 auto result = lg.startTest(sut, qsl(), settings);
                 sut.shutdown();
+                ledger_ok = bench::ledgerHolds("omission audit",
+                                               sut.stats(), result) &&
+                            ledger_ok;
                 return result;
             },
             audit_settings);
@@ -384,5 +394,6 @@ main()
         all_contracts_held ? "HELD" : "VIOLATED");
 
     bench::writeBenchJson(json, "BENCH_trace.json");
-    return (all_contracts_held && audit_discriminates) ? 0 : 1;
+    return (all_contracts_held && audit_discriminates && ledger_ok) ? 0
+                                                                    : 1;
 }

@@ -73,10 +73,10 @@ class Run : public ResponseDelegate
             assert(query.remaining > 0);
             switch (response.status) {
               case ResponseStatus::Ok: break;
-              case ResponseStatus::Degraded: ++degradedSamples_; break;
-              case ResponseStatus::Shed:     ++shedSamples_; break;
-              case ResponseStatus::Timeout:  ++timeoutSamples_; break;
-              case ResponseStatus::Failed:   ++failedSamples_; break;
+              case ResponseStatus::Degraded: ++completedDegraded_; break;
+              case ResponseStatus::Shed:     ++completedShed_; break;
+              case ResponseStatus::Timeout:  ++completedTimeout_; break;
+              case ResponseStatus::Failed:   ++completedFailed_; break;
             }
             if (responseIsError(response.status))
                 query.errored = true;
@@ -496,10 +496,10 @@ class Run : public ResponseDelegate
         result.queryCount = issuedQueries_;
         result.sampleCount = completedSamples_;
         result.samplesPerQuery = samplesPerQuery();
-        result.degradedSamples = degradedSamples_;
-        result.shedSamples = shedSamples_;
-        result.timeoutSamples = timeoutSamples_;
-        result.failedSamples = failedSamples_;
+        result.completedDegraded = completedDegraded_;
+        result.completedShed = completedShed_;
+        result.completedTimeout = completedTimeout_;
+        result.completedFailed = completedFailed_;
         result.scheduledQps = settings_.serverTargetQps;
         result.queriesWithSkippedIntervals = 0;
 
@@ -689,10 +689,10 @@ class Run : public ResponseDelegate
     std::atomic<uint64_t> outstandingQueries_{0};
     std::atomic<uint64_t> completedSamples_{0};
     // Fault accounting (guarded by mutex_ like queries_).
-    uint64_t degradedSamples_ = 0;
-    uint64_t shedSamples_ = 0;
-    uint64_t timeoutSamples_ = 0;
-    uint64_t failedSamples_ = 0;
+    uint64_t completedDegraded_ = 0;
+    uint64_t completedShed_ = 0;
+    uint64_t completedTimeout_ = 0;
+    uint64_t completedFailed_ = 0;
     uint64_t pendingArrivals_ = 0;
     uint64_t arrivalBatches_ = 0;
     sim::Tick lastArrival_ = 0;

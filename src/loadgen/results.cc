@@ -143,20 +143,20 @@ TestResult::summary() const
             formatDuration(meanIssueDriftNs).c_str(),
             formatDuration(maxIssueDriftNs).c_str());
     }
-    if (errorSamples() > 0 || degradedSamples > 0) {
+    if (errorSamples() > 0 || completedDegraded > 0) {
         out += "Fault accounting\n";
-        if (shedSamples > 0)
+        if (completedShed > 0)
             out += strprintf("  Shed samples     : %s\n",
-                             withThousands(shedSamples).c_str());
-        if (timeoutSamples > 0)
+                             withThousands(completedShed).c_str());
+        if (completedTimeout > 0)
             out += strprintf("  Timed-out samples: %s\n",
-                             withThousands(timeoutSamples).c_str());
-        if (failedSamples > 0)
+                             withThousands(completedTimeout).c_str());
+        if (completedFailed > 0)
             out += strprintf("  Failed samples   : %s\n",
-                             withThousands(failedSamples).c_str());
-        if (degradedSamples > 0)
+                             withThousands(completedFailed).c_str());
+        if (completedDegraded > 0)
             out += strprintf("  Degraded serves  : %s\n",
-                             withThousands(degradedSamples).c_str());
+                             withThousands(completedDegraded).c_str());
         out += strprintf("  Errored queries  : %s\n",
                          withThousands(erroredQueries).c_str());
     }

@@ -100,17 +100,17 @@ struct TestResult
     // report instead of hiding them as fast empty answers or hanging
     // the run. Queries containing any error-status sample count as
     // over-latency in validity determination.
-    uint64_t degradedSamples = 0;  //!< served by a fallback path
-    uint64_t shedSamples = 0;      //!< rejected by admission/backpressure
-    uint64_t timeoutSamples = 0;   //!< deadline-reaped
-    uint64_t failedSamples = 0;    //!< inference faults
+    uint64_t completedDegraded = 0;  //!< served by a fallback path
+    uint64_t completedShed = 0;      //!< rejected by admission/backpressure
+    uint64_t completedTimeout = 0;   //!< deadline-reaped
+    uint64_t completedFailed = 0;    //!< inference faults
     /** Queries with >= 1 error-status sample. */
     uint64_t erroredQueries = 0;
 
     uint64_t
     errorSamples() const
     {
-        return shedSamples + timeoutSamples + failedSamples;
+        return completedShed + completedTimeout + completedFailed;
     }
 
     // ---- Validity determination.

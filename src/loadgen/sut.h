@@ -11,6 +11,7 @@
 #ifndef MLPERF_LOADGEN_SUT_H
 #define MLPERF_LOADGEN_SUT_H
 
+#include <cstddef>
 #include <string>
 #include <vector>
 
@@ -40,6 +41,31 @@ class ResponseDelegate
      */
     virtual void querySampleFirstToken(ResponseId id) { (void)id; }
 };
+
+/**
+ * Deliver @p responses in order, one querySamplesComplete call per run
+ * of consecutive responses that share a delegate; @p owner_of(i) names
+ * the (non-null) delegate of responses[i]. A single-owner vector is
+ * passed through without a copy.
+ */
+template <typename OwnerOf>
+void
+completeByDelegate(const std::vector<QuerySampleResponse> &responses,
+                   OwnerOf owner_of)
+{
+    std::vector<QuerySampleResponse> group;
+    for (size_t begin = 0, end; begin < responses.size(); begin = end) {
+        ResponseDelegate *delegate = owner_of(begin);
+        for (end = begin + 1;
+             end < responses.size() && owner_of(end) == delegate; ++end) {
+        }
+        if (end - begin == responses.size())
+            return delegate->querySamplesComplete(responses);
+        group.assign(responses.begin() + static_cast<ptrdiff_t>(begin),
+                     responses.begin() + static_cast<ptrdiff_t>(end));
+        delegate->querySamplesComplete(group);
+    }
+}
 
 class SystemUnderTest
 {

@@ -44,12 +44,12 @@ hasResilienceActivity(const serving::StatsSnapshot &snapshot)
 {
     return snapshot.admissionShedSamples != 0 ||
            snapshot.expiredSamples != 0 ||
-           snapshot.timeoutSamples != 0 ||
+           snapshot.completedTimeout != 0 ||
            snapshot.droppedCompletions != 0 ||
-           snapshot.failedSamples != 0 || snapshot.retries != 0 ||
+           snapshot.completedFailed != 0 || snapshot.retries != 0 ||
            snapshot.breakerOpens != 0 ||
            snapshot.breakerFastFailSamples != 0 ||
-           snapshot.degradedSamples != 0;
+           snapshot.completedDegraded != 0;
 }
 
 std::string
@@ -78,10 +78,14 @@ renderServingSummary(const serving::StatsSnapshot &snapshot,
     std::string out;
     out += "Serving runtime statistics\n";
     out += strprintf(
-        "  samples: issued %s, completed %s, shed %s\n",
+        "  samples: issued %s; ok %s, degraded %s, shed %s, "
+        "timed out %s, failed %s\n",
         withThousands(snapshot.samplesIssued).c_str(),
-        withThousands(snapshot.samplesCompleted).c_str(),
-        withThousands(snapshot.samplesShed).c_str());
+        withThousands(snapshot.completedOk).c_str(),
+        withThousands(snapshot.completedDegraded).c_str(),
+        withThousands(snapshot.completedShed).c_str(),
+        withThousands(snapshot.completedTimeout).c_str(),
+        withThousands(snapshot.completedFailed).c_str());
     out += strprintf(
         "  batches: %s formed (%s size / %s demand / %s timeout / "
         "%s drain), %s shed, avg size %.2f\n",
@@ -106,11 +110,8 @@ renderServingSummary(const serving::StatsSnapshot &snapshot,
             withThousands(snapshot.samplesShed).c_str(),
             withThousands(snapshot.expiredSamples).c_str());
         out += strprintf(
-            "    timed out %s, dropped completions %s, failed %s "
-            "(%s batches)\n",
-            withThousands(snapshot.timeoutSamples).c_str(),
+            "    dropped completions %s, failed batches %s\n",
             withThousands(snapshot.droppedCompletions).c_str(),
-            withThousands(snapshot.failedSamples).c_str(),
             withThousands(snapshot.batchesFailed).c_str());
         out += strprintf(
             "    retries %s (saved %s, exhausted %s); breaker %s "
@@ -122,8 +123,7 @@ renderServingSummary(const serving::StatsSnapshot &snapshot,
             withThousands(snapshot.breakerOpens).c_str(),
             withThousands(snapshot.breakerFastFailSamples).c_str());
         out += strprintf(
-            "    degraded serves %s (mode entered %s, exited %s)\n",
-            withThousands(snapshot.degradedSamples).c_str(),
+            "    degraded mode entered %s, exited %s\n",
             withThousands(snapshot.degradeEntries).c_str(),
             withThousands(snapshot.degradeExits).c_str());
     }
@@ -150,20 +150,6 @@ renderServingSummary(const serving::StatsSnapshot &snapshot,
             formatDuration(result->meanIssueDriftNs).c_str(),
             formatDuration(result->maxIssueDriftNs).c_str());
     }
-    const uint64_t tracked =
-        snapshot.completedOk + snapshot.completedDegraded +
-        snapshot.completedShed + snapshot.completedTimeout +
-        snapshot.completedFailed;
-    if (tracked != 0) {
-        out += strprintf(
-            "  tracked completions: ok %s, degraded %s, shed %s, "
-            "timed out %s, failed %s\n",
-            withThousands(snapshot.completedOk).c_str(),
-            withThousands(snapshot.completedDegraded).c_str(),
-            withThousands(snapshot.completedShed).c_str(),
-            withThousands(snapshot.completedTimeout).c_str(),
-            withThousands(snapshot.completedFailed).c_str());
-    }
 
     Table table({"Stage", "Count", "Mean", "p50", "p90", "p99", "Max"});
     table.addRow(histogramRow("Queue depth (samples)",
@@ -184,7 +170,7 @@ servingSnapshotJson(const serving::StatsSnapshot &snapshot,
 {
     std::string out = "{";
     out += strprintf(
-        "\"samples_issued\":%llu,\"samples_completed\":%llu,"
+        "\"samples_issued\":%llu,"
         "\"samples_shed\":%llu,\"batches_formed\":%llu,"
         "\"batches_shed\":%llu,\"size_flushes\":%llu,"
         "\"demand_flushes\":%llu,\"timeout_flushes\":%llu,"
@@ -192,7 +178,6 @@ servingSnapshotJson(const serving::StatsSnapshot &snapshot,
         "\"avg_batch_size\":%.3f,\"workers\":%lld,"
         "\"utilization\":%.4f,\"elapsed_ns\":%llu,",
         static_cast<unsigned long long>(snapshot.samplesIssued),
-        static_cast<unsigned long long>(snapshot.samplesCompleted),
         static_cast<unsigned long long>(snapshot.samplesShed),
         static_cast<unsigned long long>(snapshot.batchesFormed),
         static_cast<unsigned long long>(snapshot.batchesShed),
@@ -206,19 +191,17 @@ servingSnapshotJson(const serving::StatsSnapshot &snapshot,
         static_cast<unsigned long long>(elapsed_ns));
     out += strprintf(
         "\"shed_rate\":%.5f,\"admission_shed\":%llu,"
-        "\"expired\":%llu,\"timed_out\":%llu,"
-        "\"dropped_completions\":%llu,\"failed\":%llu,"
+        "\"expired\":%llu,"
+        "\"dropped_completions\":%llu,"
         "\"batches_failed\":%llu,\"retries\":%llu,"
         "\"retry_successes\":%llu,\"retries_exhausted\":%llu,"
         "\"breaker_state\":\"%s\",\"breaker_opens\":%llu,"
-        "\"breaker_fast_fail\":%llu,\"degraded\":%llu,"
+        "\"breaker_fast_fail\":%llu,"
         "\"degrade_entries\":%llu,\"degrade_exits\":%llu,",
         snapshot.shedRate(),
         static_cast<unsigned long long>(snapshot.admissionShedSamples),
         static_cast<unsigned long long>(snapshot.expiredSamples),
-        static_cast<unsigned long long>(snapshot.timeoutSamples),
         static_cast<unsigned long long>(snapshot.droppedCompletions),
-        static_cast<unsigned long long>(snapshot.failedSamples),
         static_cast<unsigned long long>(snapshot.batchesFailed),
         static_cast<unsigned long long>(snapshot.retries),
         static_cast<unsigned long long>(snapshot.retrySuccesses),
@@ -227,7 +210,6 @@ servingSnapshotJson(const serving::StatsSnapshot &snapshot,
         static_cast<unsigned long long>(snapshot.breakerOpens),
         static_cast<unsigned long long>(
             snapshot.breakerFastFailSamples),
-        static_cast<unsigned long long>(snapshot.degradedSamples),
         static_cast<unsigned long long>(snapshot.degradeEntries),
         static_cast<unsigned long long>(snapshot.degradeExits));
     out += strprintf(
@@ -272,6 +254,36 @@ servingSnapshotJson(const serving::StatsSnapshot &snapshot,
 }
 
 std::string
+ledgerMismatch(const serving::StatsSnapshot &snapshot,
+               const loadgen::TestResult &result)
+{
+    const uint64_t ok = result.sampleCount - result.errorSamples() -
+                        result.completedDegraded;
+    const struct
+    {
+        const char *name;
+        uint64_t serving;
+        uint64_t loadgen;
+    } checks[] = {
+        {"issued", snapshot.samplesIssued, result.sampleCount},
+        {"ok", snapshot.completedOk, ok},
+        {"degraded", snapshot.completedDegraded, result.completedDegraded},
+        {"shed", snapshot.completedShed, result.completedShed},
+        {"timed out", snapshot.completedTimeout, result.completedTimeout},
+        {"failed", snapshot.completedFailed, result.completedFailed},
+    };
+    for (const auto &check : checks) {
+        if (check.serving != check.loadgen) {
+            return strprintf("sample ledger: %s %s, LoadGen %s",
+                             check.name,
+                             withThousands(check.serving).c_str(),
+                             withThousands(check.loadgen).c_str());
+        }
+    }
+    return "";
+}
+
+std::string
 renderMultiTenantSummary(const std::vector<TenantReportRow> &tenants,
                          const serving::StatsSnapshot &platform,
                          const serving::RegistrySnapshot &registry,
@@ -301,16 +313,11 @@ renderMultiTenantSummary(const std::vector<TenantReportRow> &tenants,
     Table table({"Tenant", "SLO", "Model", "Issued", "Ok", "Shed",
                  "Timeout", "Shed rate", "p99 (ms)", "Valid"});
     for (const TenantReportRow &tenant : tenants) {
-        // Queue sheds (samplesShed) also appear as tracked Shed
-        // completions; admission sheds bypass the tracker. Sum the
-        // disjoint pair.
-        const uint64_t shed = tenant.stats.admissionShedSamples +
-                              tenant.stats.samplesShed;
         table.addRow(
             {tenant.name, tenant.slo, tenant.model,
              withThousands(tenant.stats.samplesIssued),
              withThousands(tenant.stats.completedOk),
-             withThousands(shed),
+             withThousands(tenant.stats.completedShed),
              withThousands(tenant.stats.completedTimeout),
              strprintf("%.2f%%", 100.0 * tenant.stats.shedRate()),
              fmt(tenant.p99Ms, 3), tenant.valid ? "yes" : "NO"});

@@ -47,6 +47,14 @@ std::string servingSnapshotJson(
     const loadgen::TestResult *result = nullptr);
 
 /**
+ * Empty when a drained run's ledger reconciles with the LoadGen's
+ * tally: issued == Σ terminal == sampleCount, and each status equal;
+ * otherwise the first disagreement.
+ */
+std::string ledgerMismatch(const serving::StatsSnapshot &snapshot,
+                           const loadgen::TestResult &result);
+
+/**
  * One tenant's row of a multi-tenant platform report. Latency fields
  * come from the tenant's LoadGen TestResult (the platform does not
  * measure per-query latency itself).
@@ -62,7 +70,8 @@ struct TenantReportRow
 };
 
 /**
- * Per-tenant table (issued / ok / shed / timed-out / shed-rate / p99)
+ * Per-tenant table (issued; ok / shed / timed-out from its ledger;
+ * shed-rate; p99)
  * plus the shared-pool and registry counters — the multi-tenant
  * counterpart of renderServingSummary.
  */

@@ -1,5 +1,6 @@
 #include "serving/batch.h"
 
+#include <algorithm>
 #include <cassert>
 #include <exception>
 
@@ -11,35 +12,29 @@ namespace serving {
 
 void
 completeBatch(const Batch &batch,
-              const std::vector<loadgen::QuerySampleResponse> &responses)
+              const std::vector<loadgen::QuerySampleResponse> &responses,
+              ServingStats *ledger)
 {
     assert(batch.items.size() == responses.size() &&
            "runBatch must return one response per sample");
-    std::vector<loadgen::QuerySampleResponse> group;
-    group.reserve(responses.size());
-    loadgen::ResponseDelegate *delegate = nullptr;
-    for (size_t i = 0; i < batch.items.size(); ++i) {
-        loadgen::ResponseDelegate *owner = batch.items[i].delegate;
-        if (delegate && owner != delegate) {
-            delegate->querySamplesComplete(group);
-            group.clear();
-        }
-        delegate = owner;
-        group.push_back(responses[i]);
-    }
-    if (delegate && !group.empty())
-        delegate->querySamplesComplete(group);
+    if (ledger)
+        ledger->recordTerminal(responses);
+    loadgen::completeByDelegate(
+        responses, [&batch](size_t i) { return batch.items[i].delegate; });
 }
 
-std::vector<loadgen::QuerySampleResponse>
-errorResponses(const std::vector<loadgen::QuerySample> &samples,
-               loadgen::ResponseStatus status)
+void
+shedAtAdmission(ServingStats &stats,
+                const std::vector<loadgen::QuerySample> &samples,
+                loadgen::ResponseDelegate &delegate)
 {
-    std::vector<loadgen::QuerySampleResponse> responses;
-    responses.reserve(samples.size());
+    std::vector<loadgen::QuerySampleResponse> shed;
+    shed.reserve(samples.size());
     for (const auto &sample : samples)
-        responses.push_back({sample.id, "", status});
-    return responses;
+        shed.push_back({sample.id, "", loadgen::ResponseStatus::Shed});
+    stats.recordAdmissionShed(samples.size());
+    stats.recordTerminal(shed);
+    delegate.querySamplesComplete(shed);
 }
 
 std::vector<loadgen::QuerySampleResponse>
@@ -106,7 +101,7 @@ splitExpired(Batch &batch, sim::Tick now)
 
 CompletionRecord
 runBatchRecord(sim::Executor &executor, BatchInference &inference,
-               Batch &&batch, sim::Tick dispatched_at, bool tracker_active)
+               Batch &&batch, sim::Tick dispatched_at)
 {
     using Kind = CompletionRecord::Kind;
     CompletionRecord record;
@@ -115,8 +110,10 @@ runBatchRecord(sim::Executor &executor, BatchInference &inference,
             inference.runBatch(batchSamples(batch), batchMeta(batch));
         record.kind = Kind::Done;
     } catch (const InferenceFault &fault) {
-        record.kind = fault.kind() == FaultKind::DropCompletion &&
-                              tracker_active
+        const bool reaped = std::all_of(
+            batch.items.begin(), batch.items.end(),
+            [](const BatchItem &item) { return item.deadline != 0; });
+        record.kind = fault.kind() == FaultKind::DropCompletion && reaped
                           ? Kind::Dropped
                           : Kind::Failed;
     } catch (const std::exception &) {
@@ -150,17 +147,18 @@ expiredRecord(Batch &batch, sim::Tick now)
 
 void
 applyRecord(const CompletionRecord &record, ServingStats &stats,
-            sim::Tick slo_target_ns)
+            bool tracker_active, sim::Tick slo_target_ns)
 {
     using Kind = CompletionRecord::Kind;
     const Batch &batch = record.batch;
     const uint64_t samples = batch.items.size();
+    ServingStats *ledger = tracker_active ? nullptr : &stats;
     uint64_t violations = samples;
     switch (record.kind) {
       case Kind::Done:
         stats.recordDispatch(batch, record.dispatchedAt);
-        completeBatch(batch, record.responses);
-        stats.recordBatchDone(samples, record.busyNs);
+        completeBatch(batch, record.responses, ledger);
+        stats.recordBatchDone(record.busyNs);
         if (slo_target_ns != 0) {
             const sim::Tick done = record.dispatchedAt + record.busyNs;
             violations = 0;
@@ -170,12 +168,12 @@ applyRecord(const CompletionRecord &record, ServingStats &stats,
         break;
       case Kind::Failed:
         stats.recordDispatch(batch, record.dispatchedAt);
-        stats.recordBatchFailed(samples, record.busyNs);
-        completeBatch(batch, record.responses);
+        stats.recordBatchFailed(record.busyNs);
+        completeBatch(batch, record.responses, ledger);
         break;
       case Kind::Expired:
         stats.recordExpired(samples);
-        completeBatch(batch, record.responses);
+        completeBatch(batch, record.responses, ledger);
         break;
       case Kind::Dropped:
         stats.recordDispatch(batch, record.dispatchedAt);

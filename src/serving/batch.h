@@ -69,23 +69,30 @@ struct Batch
  * Complete every item of @p batch through its delegate, preserving
  * issue order and grouping consecutive items that share a delegate
  * into one querySamplesComplete call. @p responses must be aligned
- * with batch.items (the contract of BatchInference::runBatch).
+ * with batch.items (the contract of BatchInference::runBatch). Their
+ * statuses are recorded in @p ledger first, unless it is null (the
+ * items' delegate is a CompletionTracker, which records them).
  */
 void completeBatch(
     const Batch &batch,
-    const std::vector<loadgen::QuerySampleResponse> &responses);
+    const std::vector<loadgen::QuerySampleResponse> &responses,
+    ServingStats *ledger);
 
 /**
- * One empty-payload response per sample, all carrying @p status —
- * the fast-fail payload of the shed/timeout/failure paths.
+ * One empty-payload response per item, all carrying @p status — the
+ * fast-fail payload of the shed/timeout/failure paths.
  */
 std::vector<loadgen::QuerySampleResponse> errorResponses(
-    const std::vector<loadgen::QuerySample> &samples,
-    loadgen::ResponseStatus status);
-
-/** Same, drawn from a formed batch's items. */
-std::vector<loadgen::QuerySampleResponse> errorResponses(
     const Batch &batch, loadgen::ResponseStatus status);
+
+/**
+ * Answer @p samples Shed at a frontend's door (admission control),
+ * counting them in @p stats: they never reach a tracker, so their
+ * ledger entries are recorded here.
+ */
+void shedAtAdmission(ServingStats &stats,
+                     const std::vector<loadgen::QuerySample> &samples,
+                     loadgen::ResponseDelegate &delegate);
 
 /** The batch's samples in issue order (runBatch's input contract). */
 std::vector<loadgen::QuerySample> batchSamples(const Batch &batch);
@@ -112,7 +119,7 @@ struct CompletionRecord
         Done,     //!< inference succeeded; responses are real answers
         Failed,   //!< batch fault; responses carry Failed status
         Expired,  //!< deadline passed in queue; Timeout responses
-        Dropped,  //!< chaos DropCompletion; no responses on purpose
+        Dropped,  //!< chaos DropCompletion; the reaper answers it
     };
 
     Kind kind = Kind::None;
@@ -129,15 +136,15 @@ struct CompletionRecord
  * Run @p batch through @p inference and classify the outcome: Done
  * with the answers; Failed with Failed statuses after an
  * InferenceFault or any other exception; Dropped after a
- * DropCompletion fault when @p tracker_active (a CompletionTracker
- * will reap the samples — the failure being simulated; without one
- * the batch fails instead, so the run never hangs). Busy time is
- * executor.now() minus @p dispatched_at.
+ * DropCompletion fault when every item carries a deadline (the
+ * CompletionTracker's reaper will answer each at its deadline — the
+ * failure being simulated; otherwise nobody would, so the batch fails
+ * instead and the run never hangs). Busy time is executor.now() minus
+ * @p dispatched_at.
  */
 CompletionRecord runBatchRecord(sim::Executor &executor,
                                 BatchInference &inference, Batch &&batch,
-                                sim::Tick dispatched_at,
-                                bool tracker_active);
+                                sim::Tick dispatched_at);
 
 /**
  * Move the items of @p batch whose deadline passed at @p now into an
@@ -151,12 +158,13 @@ CompletionRecord expiredRecord(Batch &batch, sim::Tick now);
  * Done: time in queue (from the recorded pickup tick), delivery, then
  * the batch counters. Failed: time in queue, counters, delivery.
  * Expired: counter, delivery. Dropped: time in queue and counter, no
- * delivery. With @p slo_target_ns nonzero every sample is also judged
- * against that enqueue-to-completion SLO; failed, expired and dropped
- * samples are violations.
+ * delivery; deliveries record the ledger unless @p tracker_active.
+ * With @p slo_target_ns nonzero every sample is also judged against
+ * that enqueue-to-completion SLO; failed, expired and dropped samples
+ * are violations.
  */
 void applyRecord(const CompletionRecord &record, ServingStats &stats,
-                 sim::Tick slo_target_ns = 0);
+                 bool tracker_active, sim::Tick slo_target_ns = 0);
 
 } // namespace serving
 } // namespace mlperf

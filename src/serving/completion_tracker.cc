@@ -1,37 +1,9 @@
 #include "serving/completion_tracker.h"
 
 #include "common/lock_probe.h"
-#include "serving/batch.h"
 
 namespace mlperf {
 namespace serving {
-
-namespace {
-
-/**
- * Deliver @p responses grouped by owning delegate, preserving order
- * within each group. Called outside the tracker lock.
- */
-void
-deliverGrouped(
-    const std::vector<loadgen::QuerySampleResponse> &responses,
-    const std::vector<loadgen::ResponseDelegate *> &owners)
-{
-    std::vector<loadgen::QuerySampleResponse> group;
-    loadgen::ResponseDelegate *delegate = nullptr;
-    for (size_t i = 0; i < responses.size(); ++i) {
-        if (delegate && owners[i] != delegate) {
-            delegate->querySamplesComplete(group);
-            group.clear();
-        }
-        delegate = owners[i];
-        group.push_back(responses[i]);
-    }
-    if (delegate && !group.empty())
-        delegate->querySamplesComplete(group);
-}
-
-} // namespace
 
 void
 CompletionTracker::track(
@@ -77,13 +49,21 @@ CompletionTracker::querySamplesComplete(
             pending_.erase(it);
         }
     }
-    if (fresh.empty())
+    finish(fresh, owners);
+}
+
+void
+CompletionTracker::finish(
+    const std::vector<loadgen::QuerySampleResponse> &responses,
+    const std::vector<loadgen::ResponseDelegate *> &owners)
+{
+    if (responses.empty())
         return;
-    for (const auto &response : fresh)
-        stats_.recordTrackedCompletion(response.status, 1);
+    stats_.recordTerminal(responses);
     if (admission_)
-        admission_->release(fresh.size());
-    deliverGrouped(fresh, owners);
+        admission_->release(responses.size());
+    loadgen::completeByDelegate(
+        responses, [&owners](size_t i) { return owners[i]; });
 }
 
 void
@@ -104,14 +84,7 @@ CompletionTracker::reap(const std::vector<loadgen::ResponseId> &ids)
             pending_.erase(it);
         }
     }
-    if (expired.empty())
-        return;
-    stats_.recordTimeout(expired.size());
-    stats_.recordTrackedCompletion(loadgen::ResponseStatus::Timeout,
-                                   expired.size());
-    if (admission_)
-        admission_->release(expired.size());
-    deliverGrouped(expired, owners);
+    finish(expired, owners);
 }
 
 void
@@ -129,14 +102,7 @@ CompletionTracker::drain()
         }
         pending_.clear();
     }
-    if (leftovers.empty())
-        return;
-    stats_.recordTimeout(leftovers.size());
-    stats_.recordTrackedCompletion(loadgen::ResponseStatus::Timeout,
-                                   leftovers.size());
-    if (admission_)
-        admission_->release(leftovers.size());
-    deliverGrouped(leftovers, owners);
+    finish(leftovers, owners);
 }
 
 uint64_t

@@ -12,6 +12,8 @@
  * the deadline and completes whatever is still outstanding with
  * Timeout status. The run always finishes, and every lost or late
  * sample is visible in ServingStats instead of as a wedged run.
+ * Its deduplicated forward, reap and drain are the only ways out for
+ * a tracked sample, so they record the ServingStats ledger.
  */
 
 #ifndef MLPERF_SERVING_COMPLETION_TRACKER_H
@@ -57,8 +59,9 @@ class CompletionTracker
 
     /**
      * Forward completions to each sample's registered delegate,
-     * dropping ids already completed (or never tracked). Releases
-     * admission budget for every deduplicated completion.
+     * dropping ids already completed (or never tracked). Records the
+     * ledger and releases admission budget for every deduplicated
+     * completion.
      */
     void querySamplesComplete(
         const std::vector<loadgen::QuerySampleResponse> &responses)
@@ -77,6 +80,9 @@ class CompletionTracker
 
   private:
     void reap(const std::vector<loadgen::ResponseId> &ids);
+    /** Ledger, budget release, delivery (outside the lock). */
+    void finish(const std::vector<loadgen::QuerySampleResponse> &responses,
+                const std::vector<loadgen::ResponseDelegate *> &owners);
 
     sim::Executor &executor_;
     ServingStats &stats_;

@@ -46,7 +46,6 @@ ResilientInference::runFallback(
     auto responses = fallback_->runBatch(samples);
     for (auto &response : responses)
         response.status = loadgen::ResponseStatus::Degraded;
-    stats_.recordDegraded(samples.size());
     return responses;
 }
 

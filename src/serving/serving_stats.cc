@@ -1,5 +1,7 @@
 #include "serving/serving_stats.h"
 
+#include <iterator>
+
 #include "common/lock_probe.h"
 
 namespace mlperf {
@@ -55,10 +57,9 @@ ServingStats::recordDispatch(const Batch &batch, sim::Tick now)
 }
 
 void
-ServingStats::recordBatchDone(uint64_t samples, sim::Tick busyNs)
+ServingStats::recordBatchDone(sim::Tick busyNs)
 {
     done_.batchesCompleted.fetch_add(1, kRelaxed);
-    done_.samplesCompleted.fetch_add(samples, kRelaxed);
     done_.workerBusyNs.fetch_add(busyNs, kRelaxed);
     LockProbe::noteAcquire();
     std::lock_guard<std::mutex> lock(doneHistMutex_);
@@ -85,22 +86,15 @@ ServingStats::recordExpired(uint64_t samples)
 }
 
 void
-ServingStats::recordTimeout(uint64_t samples)
-{
-    done_.timeoutSamples.fetch_add(samples, kRelaxed);
-}
-
-void
 ServingStats::recordDroppedCompletion(uint64_t samples)
 {
     done_.droppedCompletions.fetch_add(samples, kRelaxed);
 }
 
 void
-ServingStats::recordBatchFailed(uint64_t samples, sim::Tick busyNs)
+ServingStats::recordBatchFailed(sim::Tick busyNs)
 {
     done_.batchesFailed.fetch_add(1, kRelaxed);
-    done_.failedSamples.fetch_add(samples, kRelaxed);
     done_.workerBusyNs.fetch_add(busyNs, kRelaxed);
     LockProbe::noteAcquire();
     std::lock_guard<std::mutex> lock(doneHistMutex_);
@@ -149,40 +143,28 @@ ServingStats::recordBreakerFastFail(uint64_t samples)
 }
 
 void
-ServingStats::recordDegraded(uint64_t samples)
-{
-    tracked_.degradedSamples.fetch_add(samples, kRelaxed);
-}
-
-void
 ServingStats::recordDegradeMode(bool entered)
 {
     if (entered)
-        tracked_.degradeEntries.fetch_add(1, kRelaxed);
+        resilience_.degradeEntries.fetch_add(1, kRelaxed);
     else
-        tracked_.degradeExits.fetch_add(1, kRelaxed);
+        resilience_.degradeExits.fetch_add(1, kRelaxed);
 }
 
 void
-ServingStats::recordTrackedCompletion(loadgen::ResponseStatus status,
-                                      uint64_t samples)
+ServingStats::recordTerminal(
+    const std::vector<loadgen::QuerySampleResponse> &responses)
 {
-    switch (status) {
-      case loadgen::ResponseStatus::Ok:
-        tracked_.completedOk.fetch_add(samples, kRelaxed);
-        break;
-      case loadgen::ResponseStatus::Degraded:
-        tracked_.completedDegraded.fetch_add(samples, kRelaxed);
-        break;
-      case loadgen::ResponseStatus::Shed:
-        tracked_.completedShed.fetch_add(samples, kRelaxed);
-        break;
-      case loadgen::ResponseStatus::Timeout:
-        tracked_.completedTimeout.fetch_add(samples, kRelaxed);
-        break;
-      case loadgen::ResponseStatus::Failed:
-        tracked_.completedFailed.fetch_add(samples, kRelaxed);
-        break;
+    // One add per run of equal statuses: a served batch is one run.
+    size_t begin = 0;
+    while (begin < responses.size()) {
+        const loadgen::ResponseStatus status = responses[begin].status;
+        size_t end = begin + 1;
+        while (end < responses.size() && responses[end].status == status)
+            ++end;
+        done_.terminal[static_cast<size_t>(status)].fetch_add(end - begin,
+                                                             kRelaxed);
+        begin = end;
     }
 }
 
@@ -230,14 +212,17 @@ ServingStats::snapshot() const
     s.samplesShed = issue_.samplesShed.load(kRelaxed);
     s.batchesShed = issue_.batchesShed.load(kRelaxed);
 
-    s.samplesCompleted = done_.samplesCompleted.load(kRelaxed);
     s.batchesCompleted = done_.batchesCompleted.load(kRelaxed);
     s.workerBusyNs = done_.workerBusyNs.load(kRelaxed);
     s.expiredSamples = done_.expiredSamples.load(kRelaxed);
-    s.timeoutSamples = done_.timeoutSamples.load(kRelaxed);
     s.droppedCompletions = done_.droppedCompletions.load(kRelaxed);
-    s.failedSamples = done_.failedSamples.load(kRelaxed);
     s.batchesFailed = done_.batchesFailed.load(kRelaxed);
+    // In ResponseStatus order (Ok, Degraded, Shed, Timeout, Failed).
+    uint64_t *const ledger[] = {&s.completedOk, &s.completedDegraded,
+                                &s.completedShed, &s.completedTimeout,
+                                &s.completedFailed};
+    for (size_t i = 0; i < std::size(ledger); ++i)
+        *ledger[i] = done_.terminal[i].load(kRelaxed);
 
     s.retries = resilience_.retries.load(kRelaxed);
     s.retrySuccesses = resilience_.retrySuccesses.load(kRelaxed);
@@ -248,15 +233,8 @@ ServingStats::snapshot() const
     s.breakerFastFailSamples =
         resilience_.breakerFastFailSamples.load(kRelaxed);
     s.breakerState = resilience_.breakerState.load(kRelaxed);
-
-    s.completedOk = tracked_.completedOk.load(kRelaxed);
-    s.completedDegraded = tracked_.completedDegraded.load(kRelaxed);
-    s.completedShed = tracked_.completedShed.load(kRelaxed);
-    s.completedTimeout = tracked_.completedTimeout.load(kRelaxed);
-    s.completedFailed = tracked_.completedFailed.load(kRelaxed);
-    s.degradedSamples = tracked_.degradedSamples.load(kRelaxed);
-    s.degradeEntries = tracked_.degradeEntries.load(kRelaxed);
-    s.degradeExits = tracked_.degradeExits.load(kRelaxed);
+    s.degradeEntries = resilience_.degradeEntries.load(kRelaxed);
+    s.degradeExits = resilience_.degradeExits.load(kRelaxed);
 
     s.workers = workers_.load(kRelaxed);
 

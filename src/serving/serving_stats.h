@@ -2,9 +2,9 @@
  * @file
  * Instrumentation for every stage of the serving runtime.
  *
- * Queue depth, time-in-queue, batch size, service time, worker busy
- * time, and shed counts — the counters batching ablations need to be
- * first-class experiments (surfaced through src/report). All record
+ * The sample ledger holds one terminal status per issued sample,
+ * recorded once by recordTerminal() (DESIGN.md, "One sample ledger");
+ * every other counter says where something happened. All record
  * methods are thread-safe; thread workers call them concurrently.
  *
  * Concurrency design: every monotonic counter is a relaxed atomic —
@@ -45,8 +45,7 @@ enum class BreakerState : uint8_t
 struct StatsSnapshot
 {
     uint64_t samplesIssued = 0;     //!< handed to issueQuery
-    uint64_t samplesCompleted = 0;  //!< responded through delegates
-    uint64_t samplesShed = 0;       //!< fast-failed by backpressure
+    uint64_t samplesShed = 0;       //!< fast-failed by a full queue
 
     uint64_t batchesFormed = 0;
     uint64_t batchesCompleted = 0;
@@ -59,9 +58,7 @@ struct StatsSnapshot
     // ---- Resilience counters (0 unless the features are enabled).
     uint64_t admissionShedSamples = 0;  //!< rejected at issueQuery
     uint64_t expiredSamples = 0;    //!< deadline passed before dispatch
-    uint64_t timeoutSamples = 0;    //!< completed by the deadline reaper
     uint64_t droppedCompletions = 0;  //!< responses lost by the worker
-    uint64_t failedSamples = 0;     //!< completed with Failed status
     uint64_t batchesFailed = 0;     //!< batches ending in a fault
 
     uint64_t retries = 0;           //!< retry attempts issued
@@ -74,14 +71,11 @@ struct StatsSnapshot
     uint64_t breakerFastFailSamples = 0;
     BreakerState breakerState = BreakerState::Closed;
 
-    uint64_t degradedSamples = 0;   //!< served through the fallback
     uint64_t degradeEntries = 0;    //!< shed-rate monitor engagements
     uint64_t degradeExits = 0;
 
-    // ---- Per-status completions as observed by the CompletionTracker
-    //      (deduplicated; 0 when no tracker is active). These are the
-    //      per-tenant counters of the multi-tenant platform, where
-    //      each tenant owns a tracker recording into its own stats.
+    // ---- The sample ledger: each issued sample's terminal status,
+    //      counted once (ServingStats::recordTerminal).
     uint64_t completedOk = 0;
     uint64_t completedDegraded = 0;
     uint64_t completedShed = 0;
@@ -104,14 +98,16 @@ struct StatsSnapshot
     stats::LogHistogram timeInQueueNs;  //!< enqueue -> worker start
     stats::LogHistogram serviceTimeNs;  //!< worker start -> done
 
-    double
-    averageBatchSize() const
+    /** Samples with a terminal status: the ledger's sum. */
+    uint64_t
+    terminalSamples() const
     {
-        return batchesCompleted == 0
-                   ? 0.0
-                   : static_cast<double>(samplesCompleted) /
-                         static_cast<double>(batchesCompleted);
+        return completedOk + completedDegraded + completedShed +
+               completedTimeout + completedFailed;
     }
+
+    /** Mean size of the batches the batcher formed. */
+    double averageBatchSize() const { return batchSize.mean(); }
 
     /** Busy fraction of the pool over @p elapsed ns of run time. */
     double
@@ -167,8 +163,8 @@ class ServingStats
      */
     void recordDispatch(const Batch &batch, sim::Tick now);
 
-    /** A worker finished a batch of @p samples after @p busyNs. */
-    void recordBatchDone(uint64_t samples, sim::Tick busyNs);
+    /** A worker finished a batch after @p busyNs. */
+    void recordBatchDone(sim::Tick busyNs);
 
     /** Backpressure rejected a whole batch of @p samples. */
     void recordShed(uint64_t samples);
@@ -178,26 +174,23 @@ class ServingStats
     void recordAdmissionShed(uint64_t samples);
     /** @p samples expired in queue; shed at dispatch. */
     void recordExpired(uint64_t samples);
-    /** The deadline reaper completed @p samples with Timeout. */
-    void recordTimeout(uint64_t samples);
     /** A worker dropped the completion of @p samples (chaos). */
     void recordDroppedCompletion(uint64_t samples);
-    /** A batch of @p samples failed after @p busyNs of worker time. */
-    void recordBatchFailed(uint64_t samples, sim::Tick busyNs);
+    /** A batch failed after @p busyNs of worker time. */
+    void recordBatchFailed(sim::Tick busyNs);
     void recordRetry();
     void recordRetrySuccess();
     void recordRetriesExhausted();
     void recordBreakerTransition(BreakerState state);
     void recordBreakerFastFail(uint64_t samples);
-    /** @p samples were served through the degraded/fallback path. */
-    void recordDegraded(uint64_t samples);
     void recordDegradeMode(bool entered);
+
     /**
-     * The tracker forwarded @p samples completions carrying @p status
-     * (after first-completion-wins dedup).
+     * The ledger: @p responses leave the runtime, their statuses final.
+     * Called before delivery by the one hop that answers each sample.
      */
-    void recordTrackedCompletion(loadgen::ResponseStatus status,
-                                 uint64_t samples);
+    void recordTerminal(
+        const std::vector<loadgen::QuerySampleResponse> &responses);
 
     void setWorkers(int64_t workers);
 
@@ -228,17 +221,16 @@ class ServingStats
         Counter batchesShed{0};
     };
 
-    /** Written by workers (baseline pools) or the drainer (sharded). */
+    /** Written by workers, the drainer or the tracker; the ledger is
+     *  indexed by ResponseStatus. */
     struct alignas(64) CompletionCounters
     {
-        Counter samplesCompleted{0};
         Counter batchesCompleted{0};
         Counter workerBusyNs{0};
         Counter expiredSamples{0};
-        Counter timeoutSamples{0};
         Counter droppedCompletions{0};
-        Counter failedSamples{0};
         Counter batchesFailed{0};
+        Counter terminal[5] = {};  //!< Ok .. Failed
     };
 
     /** Written by the resilience layer (retry/breaker/degrade). */
@@ -251,20 +243,9 @@ class ServingStats
         Counter breakerHalfOpens{0};
         Counter breakerCloses{0};
         Counter breakerFastFailSamples{0};
-        std::atomic<BreakerState> breakerState{BreakerState::Closed};
-    };
-
-    /** Written by the tracker (dedup'd per-status completions). */
-    struct alignas(64) TrackedCounters
-    {
-        Counter completedOk{0};
-        Counter completedDegraded{0};
-        Counter completedShed{0};
-        Counter completedTimeout{0};
-        Counter completedFailed{0};
-        Counter degradedSamples{0};
         Counter degradeEntries{0};
         Counter degradeExits{0};
+        std::atomic<BreakerState> breakerState{BreakerState::Closed};
     };
 
     /**
@@ -285,7 +266,6 @@ class ServingStats
     IssueCounters issue_;
     CompletionCounters done_;
     ResilienceCounters resilience_;
-    TrackedCounters tracked_;
     ScaleCounters scale_;
     alignas(64) std::atomic<int64_t> workers_{0};
 

@@ -23,11 +23,26 @@ ServingSut::ServingSut(sim::Executor &executor,
       degradeLatch_(options.degradeShedRateThreshold,
                     options.degradeShedRateThreshold / 2.0)
 {
-    mode_ = options_.mode;
-    if (mode_ == WorkerMode::Auto) {
-        mode_ = executor_.virtualTime() ? WorkerMode::Events
-                                        : WorkerMode::Threads;
+    PoolPlan plan;
+    plan.mode = options_.mode;
+    plan.workers = options_.workers;
+    plan.queueCapacityBatches = options_.queueCapacityBatches;
+    plan.shards = options_.shards;
+    plan.stealWhenIdle = options_.stealWhenIdle;
+    plan.sloTargetNs = options_.autoscale.sloTargetNs;
+    if (options_.autoscale.enabled) {
+        // Built at the ceiling with workers per shard, so capacity
+        // scales with the active count; `shards` start active.
+        const int64_t maxShards =
+            std::max<int64_t>(1, options_.autoscale.maxShards);
+        const int64_t minShards = std::max<int64_t>(
+            1, std::min(options_.autoscale.minShards, maxShards));
+        plan.shards = maxShards;
+        plan.activeShards =
+            std::clamp(options_.shards, minShards, maxShards);
     }
+    plan = resolvePlan(plan, executor_);
+    mode_ = plan.mode;
 
     if (options_.admission.enabled()) {
         admission_ =
@@ -39,6 +54,7 @@ ServingSut::ServingSut(sim::Executor &executor,
         tracker_ = std::make_shared<CompletionTracker>(
             executor_, stats_, admission_.get());
     }
+    plan.trackerActive = tracker_ != nullptr;
 
     BatchInference *engine = &inference_;
     if (options_.retry.enabled() || options_.breaker.enabled ||
@@ -49,37 +65,14 @@ ServingSut::ServingSut(sim::Executor &executor,
         engine = resilient_.get();
     }
 
-    const bool autoscaled =
-        options_.autoscale.enabled && mode_ == WorkerMode::Threads;
-    int64_t shards = options_.shards;
-    if (mode_ != WorkerMode::Threads)
-        shards = 1;  // the event pool is single-threaded already
-    shards = std::max<int64_t>(
-        1, std::min<int64_t>(shards,
-                             std::max<int64_t>(1, options_.workers)));
-    int64_t initialShards = shards;
-    if (autoscaled) {
-        // The pool is built at the ceiling; `shards` (clamped into
-        // [min, max]) is only how many start active. Workers are
-        // provisioned per shard so capacity genuinely scales with the
-        // active count.
-        const int64_t maxShards =
-            std::max<int64_t>(1, options_.autoscale.maxShards);
-        const int64_t minShards = std::max<int64_t>(
-            1, std::min(options_.autoscale.minShards, maxShards));
-        initialShards = std::max(
-            minShards, std::min<int64_t>(options_.shards, maxShards));
-        shards = maxShards;
-    }
-
     // Window 0 is demand dispatch: each shard's batcher asks the pool
     // whether a worker of that shard is free, and a worker that runs
     // out of queued batches pulls from its shard's batcher. The
     // batchers exist before the pool because its workers may pull as
     // soon as they start.
     const bool demand = options_.batchTimeoutNs == 0;
-    batchers_.reserve(static_cast<size_t>(shards));
-    for (int64_t s = 0; s < shards; ++s) {
+    batchers_.reserve(static_cast<size_t>(plan.shards));
+    for (int64_t s = 0; s < plan.shards; ++s) {
         const size_t shard = static_cast<size_t>(s);
         DynamicBatcher::DemandFn workerFree;
         if (demand)
@@ -94,44 +87,14 @@ ServingSut::ServingSut(sim::Executor &executor,
     WorkerPool::PullFn pull;
     if (demand)
         pull = [this](size_t shard) { return batchers_[shard]->pull(); };
+    pool_ = makeWorkerPool(executor_, *engine, stats_, plan,
+                           std::move(pull));
+    sharded_ = dynamic_cast<ShardedWorkerPool *>(pool_.get());
 
-    const bool trackerActive = tracker_ != nullptr;
-    if (autoscaled || shards > 1) {
-        ShardOptions sharding;
-        sharding.shards = shards;
-        sharding.initialActiveShards = initialShards;
-        sharding.workersPerShard =
-            std::max<int64_t>(1, options_.workers / shards);
-        sharding.queueCapacityBatches =
-            options_.queueCapacityBatches == 0
-                ? 0
-                : std::max<size_t>(
-                      1, options_.queueCapacityBatches /
-                             static_cast<size_t>(shards));
-        sharding.stealWhenIdle = options_.stealWhenIdle;
-        sharding.trackerActive = trackerActive;
-        sharding.sloTargetNs = options_.autoscale.sloTargetNs;
-        auto sharded = std::make_unique<ShardedWorkerPool>(
-            executor_, *engine, stats_, sharding, std::move(pull));
-        sharded_ = sharded.get();
-        pool_ = std::move(sharded);
-    } else if (mode_ == WorkerMode::Threads) {
-        pool_ = std::make_unique<ThreadWorkerPool>(
-            executor_, *engine, stats_, options_.workers,
-            options_.queueCapacityBatches, trackerActive,
-            std::move(pull));
-    } else {
-        pool_ = std::make_unique<EventWorkerPool>(
-            executor_, *engine, stats_, options_.workers,
-            options_.queueCapacityBatches, trackerActive,
-            std::move(pull));
-    }
+    activeBatchers_.store(sharded_ ? sharded_->activeShardCount() : 1,
+                          std::memory_order_release);
 
-    activeBatchers_.store(
-        autoscaled ? sharded_->activeShardCount() : batchers_.size(),
-        std::memory_order_release);
-
-    if (autoscaled) {
+    if (plan.activeShards > 0) {
         // Keep the issue-side batcher fan-out in lockstep with the
         // pool's active prefix. On shrink the victim's batcher is
         // flushed *while its queue still accepts*, so held partial
@@ -207,10 +170,8 @@ ServingSut::issueQuery(const std::vector<loadgen::QuerySample> &samples,
 
     if (admission_ &&
         !admission_->tryAdmit(samples.size(), depth - samples.size())) {
-        stats_.recordAdmissionShed(samples.size());
         noteShedSignal(samples.size(), true);
-        delegate.querySamplesComplete(
-            errorResponses(samples, loadgen::ResponseStatus::Shed));
+        shedAtAdmission(stats_, samples, delegate);
         return;
     }
     noteShedSignal(samples.size(), false);
@@ -303,8 +264,9 @@ ServingSut::shedBatch(const Batch &batch)
     noteShedSignal(batch.items.size(), true);
     MLPERF_LOG(Warn) << name() << ": worker queue full, shedding "
                      << batch.items.size() << " sample(s)";
-    completeBatch(batch, errorResponses(
-                             batch, loadgen::ResponseStatus::Shed));
+    completeBatch(batch,
+                  errorResponses(batch, loadgen::ResponseStatus::Shed),
+                  tracker_ ? nullptr : &stats_);
 }
 
 } // namespace serving

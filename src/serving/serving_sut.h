@@ -66,15 +66,6 @@
 namespace mlperf {
 namespace serving {
 
-/** Which worker-pool flavor backs the runtime. */
-enum class WorkerMode
-{
-    /** Events under virtual time, threads under wall-clock time. */
-    Auto,
-    Threads,
-    Events,
-};
-
 struct ServingOptions
 {
     /** Largest formed batch. */
@@ -170,7 +161,8 @@ class ServingSut : public loadgen::SystemUnderTest
      * batcher, join/drain the worker pool, then complete any samples
      * the tracker still holds (Timeout) — after that no late worker
      * or reaper event can reach the LoadGen's delegate. After
-     * shutdown the stats snapshot is final.
+     * shutdown the stats snapshot is final, and its ledger holds one
+     * terminal status per issued sample.
      */
     void shutdown();
 

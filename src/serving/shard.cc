@@ -313,8 +313,8 @@ ShardedWorkerPool::process(size_t shard_index, Batch &&batch)
         publish(shard, std::move(expired));
     if (batch.items.empty())
         return;
-    publish(shard, runBatchRecord(executor_, inference_, std::move(batch),
-                                  start, options_.trackerActive));
+    publish(shard,
+            runBatchRecord(executor_, inference_, std::move(batch), start));
 }
 
 void
@@ -339,7 +339,8 @@ ShardedWorkerPool::publish(Shard &shard, CompletionRecord &&record)
     // and make the event visible — a nonzero fallback count at sane
     // ring sizes means the drainer is the bottleneck.
     ringFallbacks_.fetch_add(1, kRelaxed);
-    applyRecord(record, stats_, options_.sloTargetNs);
+    applyRecord(record, stats_, options_.trackerActive,
+                options_.sloTargetNs);
 }
 
 void
@@ -363,7 +364,8 @@ ShardedWorkerPool::drainRingsOnce()
     CompletionRecord record;
     for (auto &shard : shards_) {
         while (shard->ring.tryPop(record)) {
-            applyRecord(record, stats_, options_.sloTargetNs);
+            applyRecord(record, stats_, options_.trackerActive,
+                        options_.sloTargetNs);
             any = true;
         }
     }

@@ -76,7 +76,7 @@ struct ShardOptions
     bool stealWhenIdle = true;
     /** Completion-ring slots per shard (rounded up to a power of 2). */
     size_t ringCapacity = 1024;
-    /** A tracker reaps dropped completions (runBatchRecord). */
+    /** A tracker records the samples' terminal statuses (applyRecord). */
     bool trackerActive = false;
 
     // ---- Elastic capacity (the SLO autoscaler, serving/autoscaler.h).

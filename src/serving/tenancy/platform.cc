@@ -175,8 +175,8 @@ TenantSut::TenantSut(ServingPlatform &platform, TenantPolicy policy,
             std::make_unique<AdmissionController>(policy_.admission);
     }
     // Every tenant gets a tracker: it releases the admission budget,
-    // reaps deadline stragglers, and feeds the per-tenant per-status
-    // completion counters — the "who actually got served" ledger.
+    // reaps deadline stragglers, and records the tenant's ledger —
+    // who actually got served.
     tracker_ = std::make_shared<CompletionTracker>(
         platform_.executor_, stats_, admission_.get());
     batcher_ = std::make_unique<DynamicBatcher>(
@@ -203,9 +203,7 @@ TenantSut::issueQuery(const std::vector<loadgen::QuerySample> &samples,
 
     if (admission_ &&
         !admission_->tryAdmit(samples.size(), depth - samples.size())) {
-        stats_.recordAdmissionShed(samples.size());
-        delegate.querySamplesComplete(
-            errorResponses(samples, loadgen::ResponseStatus::Shed));
+        shedAtAdmission(stats_, samples, delegate);
         return;
     }
 
@@ -231,42 +229,19 @@ ServingPlatform::ServingPlatform(sim::Executor &executor,
                                  PlatformOptions options)
     : executor_(executor), registry_(registry), options_(options)
 {
-    mode_ = options_.mode;
-    if (mode_ == WorkerMode::Auto) {
-        mode_ = executor_.virtualTime() ? WorkerMode::Events
-                                        : WorkerMode::Threads;
-    }
     routing_ = std::make_unique<RoutingInference>(executor_, registry_);
-    int64_t shards = options_.shards;
-    if (mode_ != WorkerMode::Threads)
-        shards = 1;
-    shards = std::max<int64_t>(
-        1, std::min<int64_t>(shards,
-                             std::max<int64_t>(1, options_.workers)));
-    if (shards > 1) {
-        ShardOptions sharding;
-        sharding.shards = shards;
-        sharding.workersPerShard =
-            std::max<int64_t>(1, options_.workers / shards);
-        sharding.queueCapacityBatches =
-            options_.queueCapacityBatches == 0
-                ? 0
-                : std::max<size_t>(
-                      1, options_.queueCapacityBatches /
-                             static_cast<size_t>(shards));
-        sharding.stealWhenIdle = options_.stealWhenIdle;
-        sharding.trackerActive = true;
-        pool_ = std::make_unique<ShardedWorkerPool>(
-            executor_, *routing_, stats_, sharding);
-    } else if (mode_ == WorkerMode::Threads) {
-        pool_ = std::make_unique<ThreadWorkerPool>(
-            executor_, *routing_, stats_, options_.workers,
-            options_.queueCapacityBatches, /*tracker_active=*/true);
-    } else {
-        pool_ = std::make_unique<EventWorkerPool>(
-            executor_, *routing_, stats_, options_.workers,
-            options_.queueCapacityBatches, /*tracker_active=*/true);
-    }
+    // No demand pull (tenant batchers keep their windows), and every
+    // tenant has a tracker, which records the ledger.
+    PoolPlan plan;
+    plan.mode = options_.mode;
+    plan.workers = options_.workers;
+    plan.queueCapacityBatches = options_.queueCapacityBatches;
+    plan.shards = options_.shards;
+    plan.stealWhenIdle = options_.stealWhenIdle;
+    plan.trackerActive = true;
+    plan = resolvePlan(plan, executor_);
+    mode_ = plan.mode;
+    pool_ = makeWorkerPool(executor_, *routing_, stats_, plan);
 }
 
 ServingPlatform::~ServingPlatform()
@@ -350,7 +325,7 @@ ServingPlatform::onBatchFormed(TenantSut &tenant, Batch &&batch)
         return;
     // Shared-queue backpressure: the shed is charged to the tenant
     // whose batch it was — its items complete Shed through its own
-    // tracker, releasing its admission budget.
+    // tracker, which records them and releases its admission budget.
     tenant.stats_.recordShed(batch.items.size());
     stats_.recordShed(batch.items.size());
     // Under sustained overload every batch sheds; log the first per
@@ -362,7 +337,8 @@ ServingPlatform::onBatchFormed(TenantSut &tenant, Batch &&batch)
                          << tenant.queueShedEvents_
                          << " shed events so far)";
     completeBatch(batch,
-                  errorResponses(batch, loadgen::ResponseStatus::Shed));
+                  errorResponses(batch, loadgen::ResponseStatus::Shed),
+                  nullptr);
 }
 
 void

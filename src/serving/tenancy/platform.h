@@ -20,8 +20,8 @@
  * Data path per tenant:
  *
  *   TenantSut::issueQuery -> per-tenant AdmissionController
- *     -> per-tenant CompletionTracker (deadline reaper, per-status
- *        counters into the tenant's own ServingStats)
+ *     -> per-tenant CompletionTracker (deadline reaper; records each
+ *        sample's terminal status in the tenant's own ledger)
  *     -> per-tenant DynamicBatcher  (batches are single-tenant, hence
  *        single-route — the batcher IS the router's granularity)
  *     -> shared WorkerPool (batch.route stamped)
@@ -46,7 +46,6 @@
 #include "serving/completion_tracker.h"
 #include "serving/resilience.h"
 #include "serving/serving_stats.h"
-#include "serving/serving_sut.h"
 #include "serving/tenancy/dag.h"
 #include "serving/tenancy/model_registry.h"
 #include "serving/worker_pool.h"
@@ -140,8 +139,8 @@ class TenantSut : public loadgen::SystemUnderTest
 
     /**
      * This tenant's own counters: issued, admission sheds, queue
-     * sheds, and per-status completions (completedOk/Shed/Timeout/…)
-     * observed by its tracker.
+     * sheds, and its sample ledger (completedOk/Shed/Timeout/…),
+     * recorded by its tracker and, for admission sheds, at its door.
      */
     StatsSnapshot stats() const { return stats_.snapshot(); }
 

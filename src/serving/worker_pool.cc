@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "common/parallel.h"
+#include "serving/shard.h"
 
 namespace mlperf {
 namespace serving {
@@ -79,12 +80,12 @@ ThreadWorkerPool::process(Batch &&batch)
 {
     const sim::Tick start = executor_.now();
     CompletionRecord expired = expiredRecord(batch, start);
-    applyRecord(expired, stats_);
+    applyRecord(expired, stats_, trackerActive_);
     if (batch.items.empty())
         return;
-    CompletionRecord record = runBatchRecord(
-        executor_, inference_, std::move(batch), start, trackerActive_);
-    applyRecord(record, stats_);
+    CompletionRecord record =
+        runBatchRecord(executor_, inference_, std::move(batch), start);
+    applyRecord(record, stats_, trackerActive_);
 }
 
 // ---------------------------------------------------- EventWorkerPool
@@ -131,7 +132,7 @@ EventWorkerPool::dispatch(bool pull)
         // Shed before serviceTimeNs so the inference functor (and any
         // chaos plan keyed off the batch) only ever sees live items.
         CompletionRecord expired = expiredRecord(batch, now);
-        applyRecord(expired, stats_);
+        applyRecord(expired, stats_, trackerActive_);
         if (batch.items.empty())
             continue;
         const sim::Tick service = inference_.serviceTimeNs(
@@ -151,12 +152,62 @@ EventWorkerPool::finishBatch(Batch &&batch, sim::Tick dispatched_at)
     // runBatch is instantaneous in host time; virtual time already
     // advanced by the modeled service time, so the record's busy time
     // is exactly that service time.
-    CompletionRecord record =
-        runBatchRecord(executor_, inference_, std::move(batch),
-                       dispatched_at, trackerActive_);
-    applyRecord(record, stats_);
+    CompletionRecord record = runBatchRecord(
+        executor_, inference_, std::move(batch), dispatched_at);
+    applyRecord(record, stats_, trackerActive_);
     --busyWorkers_;
     dispatch(true);
+}
+
+// ------------------------------------------------------ pool choice
+
+PoolPlan
+resolvePlan(PoolPlan plan, const sim::Executor &executor)
+{
+    if (plan.mode == WorkerMode::Auto) {
+        plan.mode = executor.virtualTime() ? WorkerMode::Events
+                                           : WorkerMode::Threads;
+    }
+    if (plan.mode != WorkerMode::Threads) {
+        plan.shards = 1;  // the event pool is single-threaded already
+        plan.activeShards = 0;
+    } else if (plan.activeShards == 0) {
+        plan.shards = std::clamp<int64_t>(
+            plan.shards, 1, std::max<int64_t>(1, plan.workers));
+    }
+    return plan;
+}
+
+std::unique_ptr<WorkerPool>
+makeWorkerPool(sim::Executor &executor, BatchInference &inference,
+               ServingStats &stats, const PoolPlan &plan,
+               WorkerPool::PullFn pull)
+{
+    if (plan.shards > 1 || plan.activeShards > 0) {
+        ShardOptions sharding;
+        sharding.shards = plan.shards;
+        sharding.initialActiveShards = plan.activeShards;
+        sharding.workersPerShard =
+            std::max<int64_t>(1, plan.workers / plan.shards);
+        sharding.queueCapacityBatches =
+            plan.queueCapacityBatches == 0
+                ? 0
+                : std::max<size_t>(1, plan.queueCapacityBatches /
+                                          static_cast<size_t>(plan.shards));
+        sharding.stealWhenIdle = plan.stealWhenIdle;
+        sharding.trackerActive = plan.trackerActive;
+        sharding.sloTargetNs = plan.sloTargetNs;
+        return std::make_unique<ShardedWorkerPool>(
+            executor, inference, stats, sharding, std::move(pull));
+    }
+    if (plan.mode == WorkerMode::Threads) {
+        return std::make_unique<ThreadWorkerPool>(
+            executor, inference, stats, plan.workers,
+            plan.queueCapacityBatches, plan.trackerActive, std::move(pull));
+    }
+    return std::make_unique<EventWorkerPool>(
+        executor, inference, stats, plan.workers, plan.queueCapacityBatches,
+        plan.trackerActive, std::move(pull));
 }
 
 } // namespace serving

@@ -21,7 +21,8 @@
  * whether a worker could start another batch now, and a worker that
  * runs out of queued batches calls the pool's PullFn to have the
  * batcher emit the samples it holds. Both, like ShardedWorkerPool,
- * reach the batch-outcome policy only through serving/batch.h.
+ * reach the batch-outcome policy only through serving/batch.h, and
+ * are built through makeWorkerPool().
  */
 
 #ifndef MLPERF_SERVING_WORKER_POOL_H
@@ -31,6 +32,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -42,6 +44,15 @@
 
 namespace mlperf {
 namespace serving {
+
+/** Which worker-pool flavor backs a serving frontend. */
+enum class WorkerMode
+{
+    /** Events under virtual time, threads under wall-clock time. */
+    Auto,
+    Threads,
+    Events,
+};
 
 class WorkerPool
 {
@@ -83,8 +94,8 @@ class ThreadWorkerPool : public WorkerPool
 {
   public:
     /**
-     * @param tracker_active a CompletionTracker reaps dropped
-     *        completions (runBatchRecord, serving/batch.h)
+     * @param tracker_active a CompletionTracker records the ledger
+     *        (applyRecord, serving/batch.h)
      * @param pull demand pull (shard 0); empty = workers only take
      *        submitted batches
      */
@@ -179,6 +190,39 @@ class EventWorkerPool : public WorkerPool
     /** Set inside dispatch(): a submit from a pull only queues. */
     bool dispatching_ = false;
 };
+
+/**
+ * The pool a serving frontend (ServingSut, ServingPlatform) runs on.
+ * Workers and queue capacity are totals, split evenly across shards.
+ */
+struct PoolPlan
+{
+    WorkerMode mode = WorkerMode::Auto;
+    int64_t workers = 4;
+    size_t queueCapacityBatches = 64;  //!< 0 = unbounded
+    int64_t shards = 1;  //!< Threads only; fixed: clamped to [1, workers]
+    /** Elastic (> 0): `shards` is the ceiling and this many start. */
+    int64_t activeShards = 0;
+    bool stealWhenIdle = true;
+    bool trackerActive = false;  //!< see applyRecord (serving/batch.h)
+    sim::Tick sloTargetNs = 0;   //!< judged by the sharded drainer
+};
+
+/** @p plan with Auto resolved by the executor and its shards settled. */
+PoolPlan resolvePlan(PoolPlan plan, const sim::Executor &executor);
+
+/**
+ * Build the pool a resolved @p plan names: a ShardedWorkerPool when it
+ * has several shards or is elastic, else a ThreadWorkerPool (Threads)
+ * or an EventWorkerPool (Events). @p pull is the demand pull; a
+ * frontend with a batcher per shard builds them first, since workers
+ * may pull as soon as they start.
+ */
+std::unique_ptr<WorkerPool> makeWorkerPool(sim::Executor &executor,
+                                           BatchInference &inference,
+                                           ServingStats &stats,
+                                           const PoolPlan &plan,
+                                           WorkerPool::PullFn pull = {});
 
 } // namespace serving
 } // namespace mlperf

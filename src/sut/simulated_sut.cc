@@ -101,20 +101,13 @@ SimulatedSut::startBatch(std::vector<PendingSample> batch)
 
     executor_.scheduleAfter(
         latency, [this, batch = std::move(batch)] {
-            // Group per delegate (usually one) and respond.
             std::vector<loadgen::QuerySampleResponse> responses;
             responses.reserve(batch.size());
-            loadgen::ResponseDelegate *delegate = nullptr;
-            for (const auto &sample : batch) {
-                if (delegate && sample.delegate != delegate) {
-                    delegate->querySamplesComplete(responses);
-                    responses.clear();
-                }
-                delegate = sample.delegate;
+            for (const auto &sample : batch)
                 responses.push_back({sample.id, ""});
-            }
-            if (delegate && !responses.empty())
-                delegate->querySamplesComplete(responses);
+            loadgen::completeByDelegate(responses, [&batch](size_t i) {
+                return batch[i].delegate;
+            });
             --busyEngines_;
             dispatchReady();
         });

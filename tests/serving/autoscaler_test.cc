@@ -425,8 +425,8 @@ TEST(ElasticShards, ChurnUnderLoadLosesNothingAndStaysLockFree)
     EXPECT_EQ(pool.fastPathLockAcquisitions(), 0u);
 
     const StatsSnapshot snap = stats.snapshot();
-    EXPECT_EQ(snap.samplesCompleted + snap.failedSamples,
-              kBatches * 2);
+    EXPECT_EQ(snap.completedOk + snap.completedFailed, kBatches * 2);
+    EXPECT_EQ(snap.terminalSamples(), kBatches * 2);
     EXPECT_GE(snap.activeShards, 1);
 }
 

@@ -282,7 +282,7 @@ TEST(FaultInjecting, WedgedWorkerRacingShrinkLosesNoSample)
     EXPECT_EQ(delegate.total(), kBacklog + kDuringShrink);
     EXPECT_EQ(pool.fastPathLockAcquisitions(), 0u);
     const StatsSnapshot snap = stats.snapshot();
-    EXPECT_EQ(snap.samplesCompleted, kBacklog + kDuringShrink);
+    EXPECT_EQ(snap.completedOk, kBacklog + kDuringShrink);
 }
 
 TEST(FaultInjecting, LayersUnderResilientInference)

@@ -428,7 +428,7 @@ TEST_P(DemandDispatchThreads, ProducersCompleteEverySampleOnce)
     EXPECT_EQ(delegate.total(), kTotal);
     EXPECT_EQ(delegate.notExactlyOnce(kTotal), 0u);
     const StatsSnapshot snapshot = sut.stats();
-    EXPECT_EQ(snapshot.samplesCompleted, kTotal);
+    EXPECT_EQ(snapshot.completedOk, kTotal);
     EXPECT_EQ(snapshot.samplesShed, 0u);
     EXPECT_EQ(snapshot.timeoutFlushes, 0u);
     // Four producers against two workers that take up to 300 us a

@@ -2,10 +2,10 @@
  * @file
  * One batch-outcome policy across every worker pool: the same
  * scripted batches (an Ok batch, faults that end Failed, a dropped
- * completion with and without a tracker, and a batch with expired
- * items) must leave the same status per sample and the same stats
- * counters whether ThreadWorkerPool, EventWorkerPool, or a 1- or
- * 2-shard ShardedWorkerPool runs them.
+ * completion with and without deadlines, and a batch with expired
+ * items) must leave the same status per sample, the same sample
+ * ledger and the same stage counters whether ThreadWorkerPool,
+ * EventWorkerPool, or a 1- or 2-shard ShardedWorkerPool runs them.
  */
 
 #include <gtest/gtest.h>
@@ -32,7 +32,7 @@ using loadgen::ResponseStatus;
  * Inference whose outcome is scripted by the batch's first sample id
  * (id / 10): 0 and 4 answer Ok, 1 throws a transient InferenceFault
  * (no retry layer, so it ends Failed), 2 throws a plain exception,
- * 3 throws DropCompletion. Thread-safe: it keeps no state.
+ * 3 and 5 throw DropCompletion. Thread-safe: it keeps no state.
  */
 class ScriptedInference : public BatchInference
 {
@@ -48,6 +48,7 @@ class ScriptedInference : public BatchInference
           case 2:
             throw std::runtime_error("not an InferenceFault");
           case 3:
+          case 5:
             throw InferenceFault(FaultKind::DropCompletion, "dropped");
           default:
             break;
@@ -96,8 +97,11 @@ class StatusDelegate : public loadgen::ResponseDelegate
 struct Outcome
 {
     std::map<loadgen::ResponseId, ResponseStatus> statuses;
-    uint64_t samplesCompleted = 0;
-    uint64_t failedSamples = 0;
+    uint64_t completedOk = 0;
+    uint64_t completedDegraded = 0;
+    uint64_t completedShed = 0;
+    uint64_t completedTimeout = 0;
+    uint64_t completedFailed = 0;
     uint64_t batchesFailed = 0;
     uint64_t droppedCompletions = 0;
     uint64_t expiredSamples = 0;
@@ -110,13 +114,19 @@ expectSameOutcome(const Outcome &actual, const Outcome &expected,
 {
     SCOPED_TRACE(pool);
     EXPECT_EQ(actual.statuses, expected.statuses);
-    EXPECT_EQ(actual.samplesCompleted, expected.samplesCompleted);
-    EXPECT_EQ(actual.failedSamples, expected.failedSamples);
+    EXPECT_EQ(actual.completedOk, expected.completedOk);
+    EXPECT_EQ(actual.completedDegraded, expected.completedDegraded);
+    EXPECT_EQ(actual.completedShed, expected.completedShed);
+    EXPECT_EQ(actual.completedTimeout, expected.completedTimeout);
+    EXPECT_EQ(actual.completedFailed, expected.completedFailed);
     EXPECT_EQ(actual.batchesFailed, expected.batchesFailed);
     EXPECT_EQ(actual.droppedCompletions, expected.droppedCompletions);
     EXPECT_EQ(actual.expiredSamples, expected.expiredSamples);
     EXPECT_EQ(actual.timeInQueueCount, expected.timeInQueueCount);
 }
+
+/** A deadline no run reaches: the reaper would answer the sample. */
+constexpr sim::Tick kFuture = sim::Tick{1} << 62;
 
 /** The script: one batch per behaviour; deadline 1 ns is long past. */
 std::vector<Batch>
@@ -132,7 +142,10 @@ scriptedBatches(loadgen::ResponseDelegate &delegate)
     batches.push_back(batch({{0, 0}, {1, 0}}));    // Ok
     batches.push_back(batch({{10, 0}, {11, 0}}));  // transient fault
     batches.push_back(batch({{20, 0}}));           // plain exception
-    batches.push_back(batch({{30, 0}, {31, 0}}));  // DropCompletion
+    // DropCompletion: left to the reaper when every item has a
+    // deadline, failed when none would reap it.
+    batches.push_back(batch({{30, kFuture}, {31, kFuture}}));
+    batches.push_back(batch({{50, 0}}));
     batches.push_back(batch({{40, 1}, {41, 0}, {42, 1}}));  // 2 expired
     return batches;
 }
@@ -178,8 +191,11 @@ runScript(PoolKind kind, bool tracker_active)
     const StatsSnapshot snapshot = stats.snapshot();
     Outcome out;
     out.statuses = delegate.statuses();
-    out.samplesCompleted = snapshot.samplesCompleted;
-    out.failedSamples = snapshot.failedSamples;
+    out.completedOk = snapshot.completedOk;
+    out.completedDegraded = snapshot.completedDegraded;
+    out.completedShed = snapshot.completedShed;
+    out.completedTimeout = snapshot.completedTimeout;
+    out.completedFailed = snapshot.completedFailed;
     out.batchesFailed = snapshot.batchesFailed;
     out.droppedCompletions = snapshot.droppedCompletions;
     out.expiredSamples = snapshot.expiredSamples;
@@ -189,29 +205,32 @@ runScript(PoolKind kind, bool tracker_active)
 
 TEST(PoolOutcome, EveryPoolAppliesTheSamePolicy)
 {
+    // With a tracker in front (none is here: the flag alone tells the
+    // pool that one records the ledger), the pool records no terminal
+    // status; without one it records each answer it delivers.
     for (const bool tracker : {false, true}) {
         SCOPED_TRACE(tracker ? "tracker active" : "no tracker");
         const Outcome threads = runScript(PoolKind::Threads, tracker);
 
-        // The policy itself, spelled out once.
-        std::map<loadgen::ResponseId, ResponseStatus> expected = {
+        // The policy itself, spelled out once. 30 and 31 stay
+        // unanswered: their deadlines' reaper answers them.
+        const std::map<loadgen::ResponseId, ResponseStatus> expected = {
             {0, ResponseStatus::Ok},       {1, ResponseStatus::Ok},
             {10, ResponseStatus::Failed},  {11, ResponseStatus::Failed},
             {20, ResponseStatus::Failed},  {40, ResponseStatus::Timeout},
-            {41, ResponseStatus::Ok},      {42, ResponseStatus::Timeout}};
-        if (!tracker) {
-            // Nobody would reap a dropped completion: it fails instead.
-            expected[30] = ResponseStatus::Failed;
-            expected[31] = ResponseStatus::Failed;
-        }
+            {41, ResponseStatus::Ok},      {42, ResponseStatus::Timeout},
+            {50, ResponseStatus::Failed}};
         EXPECT_EQ(threads.statuses, expected);
-        EXPECT_EQ(threads.samplesCompleted, 3u);
-        EXPECT_EQ(threads.failedSamples, tracker ? 3u : 5u);
-        EXPECT_EQ(threads.batchesFailed, tracker ? 2u : 3u);
-        EXPECT_EQ(threads.droppedCompletions, tracker ? 2u : 0u);
+        EXPECT_EQ(threads.completedOk, tracker ? 0u : 3u);
+        EXPECT_EQ(threads.completedDegraded, 0u);
+        EXPECT_EQ(threads.completedShed, 0u);
+        EXPECT_EQ(threads.completedTimeout, tracker ? 0u : 2u);
+        EXPECT_EQ(threads.completedFailed, tracker ? 0u : 4u);
+        EXPECT_EQ(threads.batchesFailed, 3u);
+        EXPECT_EQ(threads.droppedCompletions, 2u);
         EXPECT_EQ(threads.expiredSamples, 2u);
         // Every dispatched sample waited in queue: all but the expired.
-        EXPECT_EQ(threads.timeInQueueCount, 8u);
+        EXPECT_EQ(threads.timeInQueueCount, 9u);
 
         expectSameOutcome(runScript(PoolKind::Events, tracker), threads,
                           "EventWorkerPool");

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "loadgen/loadgen.h"
+#include "report/serving_report.h"
 #include "serving/chaos.h"
 #include "serving/completion_tracker.h"
 #include "serving/resilience.h"
@@ -447,7 +448,9 @@ TEST(ResilientInference, FallbackServesDegradedOnFailure)
         EXPECT_EQ(response.status, loadgen::ResponseStatus::Degraded);
         EXPECT_EQ(response.data, "fallback");
     }
-    EXPECT_EQ(stats.snapshot().degradedSamples, 3u);
+    // Degraded serves are counted where they leave the runtime.
+    stats.recordTerminal(responses);
+    EXPECT_EQ(stats.snapshot().completedDegraded, 3u);
 }
 
 TEST(ResilientInference, DegradedModeRoutesToFallback)
@@ -513,7 +516,9 @@ TEST(CompletionTracker, ReaperCompletesOutstandingWithTimeout)
     EXPECT_EQ(responses[1].status, loadgen::ResponseStatus::Timeout);
     EXPECT_EQ(responses[1].id, 1u);
     EXPECT_EQ(tracker->outstanding(), 0u);
-    EXPECT_EQ(stats.snapshot().timeoutSamples, 1u);
+    // The tracker records both in the ledger, each once.
+    EXPECT_EQ(stats.snapshot().completedOk, 1u);
+    EXPECT_EQ(stats.snapshot().completedTimeout, 1u);
 }
 
 TEST(CompletionTracker, LateCompletionAfterReapIsIgnored)
@@ -609,7 +614,8 @@ TEST(ServingSutResilience, AdmissionControlShedsBeyondBudget)
     const StatsSnapshot snapshot = sut.stats();
     EXPECT_EQ(snapshot.samplesIssued, 10u);
     EXPECT_EQ(snapshot.admissionShedSamples, 8u);
-    EXPECT_EQ(snapshot.samplesCompleted, 2u);
+    EXPECT_EQ(snapshot.completedOk, 2u);
+    EXPECT_EQ(snapshot.completedShed, 8u);
     EXPECT_GT(snapshot.shedRate(), 0.5);
 
     EXPECT_EQ(delegate.responses().size(), 10u);
@@ -651,7 +657,8 @@ TEST(ServingSutResilience, DeadlineShedsExpiredAndReapsLate)
         delegate.countWithStatus(loadgen::ResponseStatus::Timeout), 2u);
 
     const StatsSnapshot snapshot = sut.stats();
-    EXPECT_EQ(snapshot.timeoutSamples, 2u);
+    EXPECT_EQ(snapshot.completedOk, 1u);
+    EXPECT_EQ(snapshot.completedTimeout, 2u);
     EXPECT_EQ(snapshot.expiredSamples, 1u);  // q2 shed at dispatch
     EXPECT_EQ(sut.outstandingTracked(), 0u);
 }
@@ -681,9 +688,43 @@ TEST(ServingSutResilience, DroppedCompletionIsReapedNotHung)
 
     const StatsSnapshot snapshot = sut.stats();
     EXPECT_EQ(snapshot.droppedCompletions, 1u);
-    EXPECT_EQ(snapshot.timeoutSamples, 1u);
+    EXPECT_EQ(snapshot.completedTimeout, 1u);
     EXPECT_EQ(chaotic.counters().droppedCompletions, 1u);
     EXPECT_EQ(sut.outstandingTracked(), 0u);
+}
+
+TEST(ServingSutResilience, AdmissionWithoutDeadlineAnswersDroppedCompletions)
+{
+    // An admission budget brings a tracker but no deadline, so no
+    // reaper will answer a dropped completion: the batch must fail
+    // instead of leaving its samples outstanding, and the LoadGen
+    // waiting on them, until shutdown drains them into a finished run.
+    sim::VirtualExecutor ex;
+    ScriptedInference inner({}, kNsPerMs);
+    ChaosOptions chaos_options;
+    chaos_options.dropCompletionProb = 0.01;
+    FaultInjectingInference chaotic(inner, chaos_options);
+    ServingOptions options;
+    options.admission.maxInFlightSamples = 1000;
+    ServingSut sut(ex, chaotic, options);
+    StubQsl qsl;
+
+    loadgen::TestSettings settings =
+        loadgen::TestSettings::forScenario(loadgen::Scenario::Server);
+    settings.serverTargetQps = 1000.0;
+    settings.maxQueryCount = 2000;
+    loadgen::LoadGen lg(ex);
+    const loadgen::TestResult result = lg.startTest(sut, qsl, settings);
+    EXPECT_EQ(result.droppedQueries, 0u);
+    EXPECT_EQ(sut.outstandingTracked(), 0u);
+    sut.shutdown();
+
+    EXPECT_EQ(result.queryCount, 2000u);
+    EXPECT_GT(chaotic.counters().droppedCompletions, 0u);
+    const StatsSnapshot snapshot = sut.stats();
+    EXPECT_EQ(snapshot.droppedCompletions, 0u);  // none left unanswered
+    EXPECT_GT(snapshot.completedFailed, 0u);
+    EXPECT_EQ(report::ledgerMismatch(snapshot, result), "");
 }
 
 TEST(ServingSutResilience, ShedRateMonitorDegradesWithHysteresis)
@@ -723,7 +764,7 @@ TEST(ServingSutResilience, ShedRateMonitorDegradesWithHysteresis)
 
     snapshot = sut.stats();
     EXPECT_EQ(snapshot.degradeExits, 1u);
-    EXPECT_GT(snapshot.degradedSamples, 0u);  // fallback served some
+    EXPECT_GT(snapshot.completedDegraded, 0u);  // fallback served some
     EXPECT_FALSE(sut.resilient()->degraded());
     EXPECT_GT(fallback.batches_.load(), 0u);
 }
@@ -754,7 +795,7 @@ TEST(ServingSutResilience, BreakerOpenDegradesToFallback)
     const StatsSnapshot snapshot = sut.stats();
     EXPECT_EQ(snapshot.breakerOpens, 1u);
     EXPECT_EQ(snapshot.breakerFastFailSamples, 1u);
-    EXPECT_EQ(snapshot.degradedSamples, 2u);
+    EXPECT_EQ(snapshot.completedDegraded, 2u);
     EXPECT_EQ(
         delegate.countWithStatus(loadgen::ResponseStatus::Degraded),
         2u);
@@ -806,17 +847,12 @@ TEST(ServingSutResilience, ServerScenarioWithInjectedFaultsFinishes)
     EXPECT_GT(snapshot.retries, 0u);
     EXPECT_GT(snapshot.retrySuccesses, 0u);
 
-    // Every dropped completion was reaped as a timeout; a Timeout
-    // delivery comes from the reaper or a dispatch-time expiry shed.
+    // One terminal status per sample, the LoadGen's own, whichever
+    // hop answered it: every dropped completion was reaped as a
+    // timeout.
+    EXPECT_EQ(report::ledgerMismatch(snapshot, result), "");
     EXPECT_GT(snapshot.droppedCompletions, 0u);
-    EXPECT_GE(result.timeoutSamples, snapshot.droppedCompletions);
-    EXPECT_GE(result.timeoutSamples, snapshot.timeoutSamples);
-    EXPECT_LE(result.timeoutSamples,
-              snapshot.timeoutSamples + snapshot.expiredSamples);
-    // A failed batch counts all its samples; fewer may be delivered
-    // as Failed if the reaper got to some first.
-    EXPECT_LE(result.failedSamples, snapshot.failedSamples);
-    EXPECT_EQ(snapshot.samplesIssued, result.sampleCount);
+    EXPECT_GE(snapshot.completedTimeout, snapshot.droppedCompletions);
 
     // Errored queries count against the latency bound.
     EXPECT_GE(result.overLatencyCount, result.erroredQueries);
@@ -902,9 +938,10 @@ TEST(ServingSutResilience, ConcurrentErrorAndSuccessCompletions)
 
     EXPECT_EQ(result.droppedQueries, 0u);
     EXPECT_EQ(result.queryCount, 120u);
-    EXPECT_GT(result.failedSamples, 0u);
-    EXPECT_LT(result.failedSamples, result.sampleCount);
-    EXPECT_EQ(result.failedSamples, sut.stats().failedSamples);
+    EXPECT_GT(result.completedFailed, 0u);
+    EXPECT_LT(result.completedFailed, result.sampleCount);
+    EXPECT_EQ(result.completedFailed, sut.stats().completedFailed);
+    EXPECT_EQ(report::ledgerMismatch(sut.stats(), result), "");
     // Errored queries are visible and poison validity accounting.
     EXPECT_GT(result.erroredQueries, 0u);
     EXPECT_GE(result.overLatencyCount, result.erroredQueries);

@@ -299,8 +299,10 @@ TEST(ThreadWorkerPool, BackpressureRejectsWhenQueueFull)
     inference.release();
     pool.shutdown();
     EXPECT_EQ(delegate.responses().size(), 2u);
+    // No tracker in front, so the pool records the ledger.
     const StatsSnapshot snapshot = stats.snapshot();
-    EXPECT_EQ(snapshot.samplesCompleted, 2u);
+    EXPECT_EQ(snapshot.completedOk, 2u);
+    EXPECT_EQ(snapshot.terminalSamples(), 2u);
 }
 
 TEST(EventWorkerPool, ModeledServiceTimeAdvancesVirtualClock)
@@ -359,7 +361,9 @@ TEST(ServingSut, ShedsWhenWorkerQueueOverflows)
     EXPECT_EQ(snapshot.samplesIssued, 20u);
     EXPECT_EQ(snapshot.samplesShed, 18u);
     EXPECT_EQ(snapshot.batchesShed, 18u);
-    EXPECT_EQ(snapshot.samplesCompleted, 2u);
+    EXPECT_EQ(snapshot.completedOk, 2u);
+    EXPECT_EQ(snapshot.completedShed, 18u);
+    EXPECT_EQ(snapshot.terminalSamples(), snapshot.samplesIssued);
 
     // Every sample answered: shed ones immediately, with empty data.
     const auto responses = delegate.responses();
@@ -393,8 +397,8 @@ TEST(ServingSut, ServerScenarioValidUnderVirtualExecutor)
     EXPECT_GE(result.queryCount, 1024u);
 
     const StatsSnapshot snapshot = sut.stats();
-    EXPECT_EQ(snapshot.samplesIssued, result.sampleCount);
-    EXPECT_EQ(snapshot.samplesCompleted, result.sampleCount);
+    EXPECT_EQ(report::ledgerMismatch(snapshot, result), "");
+    EXPECT_EQ(snapshot.completedOk, result.sampleCount);
     EXPECT_EQ(snapshot.samplesShed, 0u);
     EXPECT_GT(snapshot.batchesFormed, 0u);
     EXPECT_GT(snapshot.timeoutFlushes, 0u);
@@ -431,7 +435,8 @@ TEST(ServingSut, ServerScenarioValidUnderRealExecutor)
     EXPECT_EQ(result.queryCount, 64u);
 
     const StatsSnapshot snapshot = sut.stats();
-    EXPECT_EQ(snapshot.samplesCompleted, result.sampleCount);
+    EXPECT_EQ(report::ledgerMismatch(snapshot, result), "");
+    EXPECT_EQ(snapshot.completedOk, result.sampleCount);
     EXPECT_EQ(snapshot.samplesShed, 0u);
     EXPECT_GT(snapshot.batchesFormed, 0u);
     EXPECT_GT(snapshot.workerBusyNs, 0u);
@@ -454,7 +459,7 @@ TEST(ServingSut, OfflineQueryIsSplitIntoMaxSizeBatches)
     ex.run();
 
     const StatsSnapshot snapshot = sut.stats();
-    EXPECT_EQ(snapshot.samplesCompleted, 1000u);
+    EXPECT_EQ(snapshot.completedOk, 1000u);
     EXPECT_EQ(snapshot.sizeFlushes, 31u);   // 31 x 32 = 992
     EXPECT_EQ(snapshot.drainFlushes, 1u);   // +8 drained by flush
     EXPECT_EQ(delegate.responses().size(), 1000u);
@@ -501,8 +506,8 @@ TEST(HarnessServing, ServerRunThroughServingRuntime)
     EXPECT_EQ(run.outcome.result.droppedQueries, 0u);
     EXPECT_GT(run.serving.batchesFormed, 0u);
     EXPECT_GE(run.serving.workers, 4);
-    EXPECT_EQ(run.serving.samplesCompleted,
-              run.outcome.result.sampleCount);
+    EXPECT_EQ(report::ledgerMismatch(run.serving, run.outcome.result),
+              "");
 
     const std::string summary =
         report::renderServingSummary(run.serving, run.elapsedNs);

@@ -329,7 +329,7 @@ TEST(ShardedWorkerPool, CompletesAllSamplesAcrossShards)
     EXPECT_EQ(pool.queuedSamples(), 0u);
 
     const StatsSnapshot snap = stats.snapshot();
-    EXPECT_EQ(snap.samplesCompleted, kBatches * kPerBatch);
+    EXPECT_EQ(snap.completedOk, kBatches * kPerBatch);
     EXPECT_EQ(snap.batchesCompleted, kBatches);
 }
 
@@ -433,7 +433,7 @@ TEST(ShardedWorkerPool, RingFullFallsBackLossless)
     EXPECT_EQ(delegate.total(), kBatches);  // lossless
     EXPECT_GT(pool.ringFallbacks(), 0u);    // and the slow path showed
     const StatsSnapshot snap = stats.snapshot();
-    EXPECT_EQ(snap.samplesCompleted, kBatches);
+    EXPECT_EQ(snap.completedOk, kBatches);
 }
 
 TEST(ShardedWorkerPool, ExpiredSamplesShedAtDispatchThroughRing)
@@ -499,7 +499,7 @@ TEST(ServingSutSharded, EndToEndCompletesEverything)
     EXPECT_EQ(delegate.ok(), kQueries * kPerQuery);
     const StatsSnapshot snap = sut.stats();
     EXPECT_EQ(snap.samplesIssued, kQueries * kPerQuery);
-    EXPECT_EQ(snap.samplesCompleted, kQueries * kPerQuery);
+    EXPECT_EQ(snap.completedOk, kQueries * kPerQuery);
     EXPECT_EQ(sut.shardedPool()->fastPathLockAcquisitions(), 0u);
 }
 
@@ -581,12 +581,14 @@ TEST(ServingStats, SnapshotConsistentUnderConcurrentWriters)
         while (!stop.load())
             (void)stats.snapshot();
     });
+    const std::vector<loadgen::QuerySampleResponse> one = {{0, ""}};
     std::vector<std::thread> writers;
     for (uint64_t t = 0; t < kThreads; ++t) {
-        writers.emplace_back([&stats] {
+        writers.emplace_back([&stats, &one] {
             for (uint64_t i = 0; i < kPerThread; ++i) {
                 stats.recordIssued(1, i % 16);
-                stats.recordBatchDone(1, 100);
+                stats.recordTerminal(one);
+                stats.recordBatchDone(100);
             }
         });
     }
@@ -597,7 +599,7 @@ TEST(ServingStats, SnapshotConsistentUnderConcurrentWriters)
 
     const StatsSnapshot snap = stats.snapshot();
     EXPECT_EQ(snap.samplesIssued, kThreads * kPerThread);
-    EXPECT_EQ(snap.samplesCompleted, kThreads * kPerThread);
+    EXPECT_EQ(snap.completedOk, kThreads * kPerThread);
     EXPECT_EQ(snap.batchesCompleted, kThreads * kPerThread);
     EXPECT_EQ(snap.workerBusyNs, kThreads * kPerThread * 100);
 }

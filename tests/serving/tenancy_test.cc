@@ -587,10 +587,14 @@ TEST(ServingPlatform, TenantsRouteToTheirOwnModels)
     EXPECT_EQ(stats_a.samplesShed, 0u);
     EXPECT_EQ(tenant_a.outstanding(), 0u);
 
-    // The shared pool saw both tenants' batches.
+    // The shared pool served both tenants' batches; their samples'
+    // terminal statuses are in the tenants' ledgers, not the pool's.
     StatsSnapshot pool = platform.stats();
     EXPECT_EQ(pool.batchesFormed, 2u);
-    EXPECT_EQ(pool.samplesCompleted, 8u);
+    EXPECT_EQ(pool.batchesCompleted, 2u);
+    EXPECT_DOUBLE_EQ(pool.averageBatchSize(), 4.0);
+    EXPECT_EQ(pool.terminalSamples(), 0u);
+    EXPECT_EQ(stats_a.completedOk + tenant_b.stats().completedOk, 8u);
 
     platform.shutdown();
 }
@@ -652,8 +656,9 @@ TEST(TenantSut, AdmissionBudgetBoundsInFlightSamples)
     EXPECT_EQ(stats.samplesIssued, 10u);
     EXPECT_EQ(stats.admissionShedSamples, 6u);
     EXPECT_EQ(stats.completedOk, 4u);
-    // Admission sheds bypass the tracker: not tracked completions.
-    EXPECT_EQ(stats.completedShed, 0u);
+    // Admission sheds never reach the tracker; the door records them.
+    EXPECT_EQ(stats.completedShed, 6u);
+    EXPECT_EQ(stats.terminalSamples(), stats.samplesIssued);
 
     // Completions release the budget: a second wave is admitted.
     tenant.issueQuery(makeSamples(2, 50), delegate);
