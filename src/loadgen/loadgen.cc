@@ -52,6 +52,14 @@ class Run : public ResponseDelegate
         // Stage first: a QSL that loads samples in loadSamplesToRam
         // must not make the first scheduled queries late.
         prepareSamples();
+        // Size the ledgers for the planned run up front: growing them
+        // copies the whole ledger under mutex_, which the completion
+        // callbacks wait on. Min-duration extensions may still grow
+        // them.
+        const uint64_t queries = targetQueryCount();
+        queries_.reserve(queries);
+        responseQuery_.reserve(queries * samplesPerQuery());
+        responseIndex_.reserve(queries * samplesPerQuery());
         // Anchor every schedule at the current executor time so that
         // several tests can run back-to-back on one executor (wall
         // clocks never restart; virtual ones need not either).
@@ -197,9 +205,12 @@ class Run : public ResponseDelegate
             settings_.sampleIndexSeed, settings_.sampleIndexMode);
     }
 
-    /** Draw the next @p count sample indices (extending if needed). */
-    std::vector<QuerySampleIndex>
-    nextSampleIndices(uint64_t count)
+    /**
+     * Make the next @p count sample indices available at
+     * sampleIndices_[nextSample_...], extending the stream if needed.
+     */
+    void
+    ensureSampleIndices(uint64_t count)
     {
         while (nextSample_ + count > sampleIndices_.size()) {
             // Performance-mode runs can outlive the pregenerated
@@ -214,13 +225,6 @@ class Run : public ResponseDelegate
             sampleIndices_.insert(sampleIndices_.end(), more.begin(),
                                   more.end());
         }
-        std::vector<QuerySampleIndex> out(
-            sampleIndices_.begin() +
-                static_cast<int64_t>(nextSample_),
-            sampleIndices_.begin() +
-                static_cast<int64_t>(nextSample_ + count));
-        nextSample_ += count;
-        return out;
     }
 
     // ------------------------------------------------- query issue
@@ -241,24 +245,24 @@ class Run : public ResponseDelegate
     void
     issueQuery(uint64_t q)
     {
-        std::vector<QuerySample> samples;
         {
             std::lock_guard<std::mutex> lock(mutex_);
             QueryState &query = queries_[q];
             query.issued = executor_.now();
-            const auto indices =
-                nextSampleIndices(query.sampleCount);
-            samples.reserve(indices.size());
-            for (QuerySampleIndex index : indices) {
+            ensureSampleIndices(query.sampleCount);
+            issueBuffer_.clear();
+            for (uint64_t i = 0; i < query.sampleCount; ++i) {
+                const QuerySampleIndex index =
+                    sampleIndices_[nextSample_++];
                 const ResponseId id = responseQuery_.size();
                 responseQuery_.push_back(q);
                 responseIndex_.push_back(index);
-                samples.push_back({id, index});
+                issueBuffer_.push_back({id, index});
             }
             ++issuedQueries_;
             ++outstandingQueries_;
         }
-        sut_.issueQuery(samples, *this);
+        sut_.issueQuery(issueBuffer_, *this);
     }
 
     // --------------------------------------------------- scenarios
@@ -683,6 +687,10 @@ class Run : public ResponseDelegate
     std::vector<QuerySampleIndex> responseIndex_;
     std::vector<QuerySampleIndex> sampleIndices_;
     std::vector<QuerySampleIndex> staged_;  //!< samples in RAM
+    /** The query being issued; reused, and only touched by the thread
+     *  that runs the executor (every issue is an executor event or
+     *  begin()). */
+    std::vector<QuerySample> issueBuffer_;
     uint64_t nextSample_ = 0;
     uint64_t extensions_ = 0;
     std::atomic<uint64_t> issuedQueries_{0};

@@ -13,6 +13,7 @@
 #ifndef MLPERF_SERVING_BATCH_H
 #define MLPERF_SERVING_BATCH_H
 
+#include <atomic>
 #include <cstdint>
 #include <vector>
 
@@ -63,7 +64,31 @@ struct Batch
      * can serve many models (see serving/tenancy/platform.h).
      */
     uint32_t route = 0;
+    /**
+     * The submitting tenant's count of its samples queued in a worker
+     * pool, or null (ServingSut reads the pool's total). Pools move a
+     * batch's samples into and out of it through countTenantQueued,
+     * where they keep their own total.
+     */
+    std::atomic<uint64_t> *tenantQueued = nullptr;
 };
+
+/**
+ * A pool queued @p batch (@p queued true) or a worker took it (false):
+ * add its samples to, or remove them from, its tenant's queued count.
+ * A no-op for a batch without one.
+ */
+inline void
+countTenantQueued(const Batch &batch, bool queued)
+{
+    if (batch.tenantQueued == nullptr)
+        return;
+    const uint64_t samples = batch.items.size();
+    if (queued)
+        batch.tenantQueued->fetch_add(samples, std::memory_order_relaxed);
+    else
+        batch.tenantQueued->fetch_sub(samples, std::memory_order_relaxed);
+}
 
 /**
  * Complete every item of @p batch through its delegate, preserving

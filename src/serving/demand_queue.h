@@ -23,8 +23,9 @@
  *    whenever one is left free (tryPopBusy).
  *
  * Samples, which workerFree() does not read, are counted before the
- * push instead: the SUT's admission depth reads queuedSamples(), so
- * it must never wrap below zero.
+ * push instead: the SUT's admission depth reads queuedSamples() (a
+ * tenant's, its own count; countTenantQueued), so it must never wrap
+ * below zero.
  */
 
 #ifndef MLPERF_SERVING_DEMAND_QUEUE_H
@@ -55,8 +56,10 @@ class DemandQueue
     {
         const uint64_t samples = batch.items.size();
         queuedSamples_.fetch_add(samples, kRelaxed);
+        countTenantQueued(batch, true);
         if (!queue_.tryPush(batch)) {
             queuedSamples_.fetch_sub(samples, kRelaxed);
+            countTenantQueued(batch, false);
             return false;
         }
         queuedBatches_.fetch_add(1, kRelaxed);
@@ -120,6 +123,7 @@ class DemandQueue
     {
         if (batch) {
             queuedSamples_.fetch_sub(batch->items.size(), kRelaxed);
+            countTenantQueued(*batch, false);
             queuedBatches_.fetch_sub(1, kRelaxed);
         }
         return batch;

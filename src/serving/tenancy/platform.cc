@@ -196,8 +196,10 @@ void
 TenantSut::issueQuery(const std::vector<loadgen::QuerySample> &samples,
                       loadgen::ResponseDelegate &delegate)
 {
+    // This tenant's own backlog: its batcher and its batches in the
+    // shared pool's queue, not its co-tenants'.
     const uint64_t depth = batcher_->pending() +
-                           platform_.pool_->queuedSamples() +
+                           queuedSamples_.load(std::memory_order_relaxed) +
                            samples.size();
     stats_.recordIssued(samples.size(), depth);
 
@@ -320,6 +322,7 @@ void
 ServingPlatform::onBatchFormed(TenantSut &tenant, Batch &&batch)
 {
     batch.route = tenant.route_;
+    batch.tenantQueued = &tenant.queuedSamples_;
     stats_.recordBatchFormed(batch);
     if (pool_->submit(batch))
         return;

@@ -35,6 +35,7 @@
 #ifndef MLPERF_SERVING_TENANCY_PLATFORM_H
 #define MLPERF_SERVING_TENANCY_PLATFORM_H
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -160,6 +161,9 @@ class TenantSut : public loadgen::SystemUnderTest
     std::unique_ptr<AdmissionController> admission_;
     std::shared_ptr<CompletionTracker> tracker_;
     std::unique_ptr<DynamicBatcher> batcher_;
+    /** This tenant's samples in the shared pool's queue (the pool
+     *  counts them through Batch::tenantQueued). */
+    std::atomic<uint64_t> queuedSamples_{0};
     /** Queue-full sheds seen, for rate-limiting the warning log. */
     uint64_t queueShedEvents_ = 0;
 };

@@ -109,6 +109,7 @@ EventWorkerPool::submit(Batch &batch)
     if (queueCapacity_ != 0 && queue_.size() >= queueCapacity_)
         return false;
     queuedSamples_ += batch.items.size();
+    countTenantQueued(batch, true);
     queue_.push_back(std::move(batch));
     if (!dispatching_)
         dispatch(false);
@@ -127,6 +128,7 @@ EventWorkerPool::dispatch(bool pull)
         Batch batch = std::move(queue_.front());
         queue_.pop_front();
         queuedSamples_ -= batch.items.size();
+        countTenantQueued(batch, false);
 
         const sim::Tick now = executor_.now();
         // Shed before serviceTimeNs so the inference functor (and any

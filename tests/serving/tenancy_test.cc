@@ -20,6 +20,7 @@
 #include "../loadgen/test_doubles.h"
 #include "harness/experiment.h"
 #include "loadgen/loadgen.h"
+#include "report/serving_report.h"
 #include "serving/tenancy/dag.h"
 #include "serving/tenancy/model_registry.h"
 #include "serving/tenancy/platform.h"
@@ -918,6 +919,41 @@ TEST(MultiTenant, AdmissionBudgetShieldsInteractiveTenantFromOverload)
     const Outcome unguarded = run(false);
     EXPECT_LT(unguarded.interactive.completedOk,
               unguarded.interactive.samplesIssued);
+}
+
+TEST(MultiTenant, QueuedBudgetCountsOnlyTheTenantsOwnSamples)
+{
+    // A tenant's maxQueuedSamples bounds its own backlog. Here a
+    // Batch-class co-tenant may hold 64 samples in flight, most of
+    // them queued in the shared pool: more than the Interactive
+    // tenant's default queued budget (8 batches of 4 = 32). Were that
+    // backlog charged to the Interactive tenant, it would shed nearly
+    // every sample at its own door, though its own queue is short.
+    ProfilePlatform shared(noiselessProfile(1e13, 4), 2);
+    TenantPolicy light;
+    light.name = "interactive";
+    light.slo = SloClass::Interactive;
+    TenantSut &interactive = shared.addTenant(
+        light, models::TaskType::ImageClassificationLight);
+    TenantPolicy bulk;
+    bulk.name = "bulk";
+    bulk.slo = SloClass::Batch;
+    bulk.admission = {64, 0};
+    TenantSut &heavy = shared.addTenant(
+        bulk, models::TaskType::ImageClassificationHeavy);
+
+    loadgen::testing::FakeQsl qsl_a(1000, 256), qsl_b(1000, 256);
+    const auto results = shared.run(
+        {{&interactive, &qsl_a, serverSettings(200.0, 50, 2000)},
+         {&heavy, &qsl_b, serverSettings(10000.0, 500, 100000)}});
+    const StatsSnapshot mine = interactive.stats();
+    EXPECT_EQ(mine.samplesIssued, 2000u);
+    EXPECT_EQ(mine.admissionShedSamples, 0u);
+    EXPECT_EQ(report::ledgerMismatch(mine, results[0]), "");
+    EXPECT_TRUE(results[0].valid);
+    // The co-tenant did keep a backlog beyond that budget, or this
+    // test would not tell the two counts apart.
+    EXPECT_GT(heavy.stats().admissionShedSamples, 0u);
 }
 
 // --------------------------------------------- harness-level LoadGen
