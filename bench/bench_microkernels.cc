@@ -52,7 +52,10 @@
 // intermediate activation.
 static std::atomic<long> g_heap_allocs{0};
 
-void *
+// noinline, here and below: inlined into a caller's `new T` or
+// `delete p`, the malloc/free inside reads to GCC as a mismatched
+// pair (-Wmismatched-new-delete).
+__attribute__((noinline)) void *
 operator new(std::size_t size)
 {
     g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
@@ -61,7 +64,7 @@ operator new(std::size_t size)
     throw std::bad_alloc();
 }
 
-void *
+__attribute__((noinline)) void *
 operator new[](std::size_t size)
 {
     g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
@@ -70,25 +73,25 @@ operator new[](std::size_t size)
     throw std::bad_alloc();
 }
 
-void
+__attribute__((noinline)) void
 operator delete(void *p) noexcept
 {
     std::free(p);
 }
 
-void
+__attribute__((noinline)) void
 operator delete[](void *p) noexcept
 {
     std::free(p);
 }
 
-void
+__attribute__((noinline)) void
 operator delete(void *p, std::size_t) noexcept
 {
     std::free(p);
 }
 
-void
+__attribute__((noinline)) void
 operator delete[](void *p, std::size_t) noexcept
 {
     std::free(p);

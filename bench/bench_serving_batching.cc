@@ -50,7 +50,14 @@ serverSettings(double qps)
     return settings;
 }
 
-/** Wall-clock seconds per sample of the inline classifier. */
+/** Timed batches the offered load is calibrated from. */
+constexpr size_t kCalibrationBatches = 9;
+
+/**
+ * Wall-clock seconds per sample of the inline classifier: the median
+ * of kCalibrationBatches timed 16-sample batches. One timed batch
+ * moved the offered load 3.5x across runs on a shared host.
+ */
 double
 measureSampleSeconds(serving::BatchInference &inference,
                      sut::ClassificationQsl &qsl)
@@ -63,12 +70,20 @@ measureSampleSeconds(serving::BatchInference &inference,
     }
     qsl.loadSamplesToRam(indices);
     inference.runBatch(samples);  // warm caches before timing
-    const auto start = std::chrono::steady_clock::now();
-    inference.runBatch(samples);
-    const std::chrono::duration<double> elapsed =
-        std::chrono::steady_clock::now() - start;
+    std::vector<double> seconds;
+    for (size_t rep = 0; rep < kCalibrationBatches; ++rep) {
+        const auto start = std::chrono::steady_clock::now();
+        inference.runBatch(samples);
+        const std::chrono::duration<double> elapsed =
+            std::chrono::steady_clock::now() - start;
+        seconds.push_back(elapsed.count());
+    }
     qsl.unloadSamplesFromRam(indices);
-    return elapsed.count() / static_cast<double>(samples.size());
+    std::nth_element(seconds.begin(),
+                     seconds.begin() + kCalibrationBatches / 2,
+                     seconds.end());
+    return seconds[kCalibrationBatches / 2] /
+           static_cast<double>(samples.size());
 }
 
 struct RunNumbers

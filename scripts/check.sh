@@ -22,8 +22,8 @@
 # small-shape GEMM path, the LSTM gate activations and the argmax,
 # each against its scalar reference), and the sample-ledger property
 # (SampleLedger: one terminal status per issued sample, matching the
-# LoadGen's tally, on event, threaded and sharded pools and a
-# multi-tenant platform). The intra-op pool's
+# LoadGen's tally, on the event pool, the threaded pool at one and
+# several shards, and a multi-tenant platform). The intra-op pool's
 # zero-allocation test runs with
 # the ThreadPool suite but skips itself under the sanitizers, whose
 # allocators it cannot count.
@@ -49,7 +49,7 @@ command -v ninja > /dev/null 2>&1 && GENERATOR="-G Ninja"
 run_suite() {
     build_dir="$1"
     ctest --test-dir "$build_dir" --output-on-failure \
-          -R 'BoundedQueue|DynamicBatcher|ThreadWorkerPool|EventWorkerPool|PoolOutcome|ServingSut|HarnessServing|ProfileBatchInference|CircuitBreaker|AdmissionController|ResilientInference|CompletionTracker|FaultInjecting|LoadGen|Scenario|Server|Offline|RealExecutor|VirtualExecutor|Logging|ThreadPool|ScratchArena|GemmParallel|ConvParallel|GemmInt8|GemmPrepacked|Int8Prepacked|CompiledModel|ModelGraph|MemoryPlanner|ModelRegistry|DagPipeline|ServingPlatform|TenantSut|MultiTenantServing|MpscRing|ShardRouting|ShardedWorkerPool|ServingSutSharded|ShardedPlatform|ServingStats|BoundedQueuePopFor|ConvDirect|NchwcLayout|LayoutPropagation|Ewma|HysteresisLatch|ShardAutoscaler|ElasticShards|AutoscaledServingSut|TraceArrivals|BurstyArrivalProperties|MeasurementAudit|ParseRecordedTrace|ContinuousBatcher|DecoderEngine|DecoderModel|DecodeStatePool|TokenStream|DemandDispatch|DemandQueue|CpuBudget|IntraOpBinding|PrepackedSmallPath|GateActivations|ArgmaxRow|SampleLedger'
+          -R 'BoundedQueue|DynamicBatcher|EventWorkerPool|PoolOutcome|ServingSut|HarnessServing|ProfileBatchInference|CircuitBreaker|AdmissionController|ResilientInference|CompletionTracker|FaultInjecting|LoadGen|Scenario|Server|Offline|RealExecutor|VirtualExecutor|Logging|ThreadPool|ScratchArena|GemmParallel|ConvParallel|GemmInt8|GemmPrepacked|Int8Prepacked|CompiledModel|ModelGraph|MemoryPlanner|ModelRegistry|DagPipeline|ServingPlatform|TenantSut|MultiTenantServing|MpscRing|ShardRouting|ShardedWorkerPool|ServingSutSharded|ShardedPlatform|ServingStats|BoundedQueuePopFor|ConvDirect|NchwcLayout|LayoutPropagation|Ewma|HysteresisLatch|ShardAutoscaler|ElasticShards|AutoscaledServingSut|TraceArrivals|BurstyArrivalProperties|MeasurementAudit|ParseRecordedTrace|ContinuousBatcher|DecoderEngine|DecoderModel|DecodeStatePool|TokenStream|DemandDispatch|DemandQueue|CpuBudget|IntraOpBinding|PrepackedSmallPath|GateActivations|ArgmaxRow|SampleLedger'
 }
 
 if [ "$MODE" = "tier1" ]; then

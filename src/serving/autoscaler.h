@@ -57,9 +57,9 @@ struct AutoscaleOptions
     /** Active-shard ceiling; the pool is built with this many. */
     int64_t maxShards = 4;
     /**
-     * Per-sample completion-latency SLO judged by the drainer; the
-     * violation counts drive the error signal. 0 = only sheds drive
-     * scaling.
+     * Per-sample completion-latency SLO judged by the pool's drain
+     * role; the violation counts drive the error signal. 0 = only
+     * sheds drive scaling.
      */
     sim::Tick sloTargetNs = 0;
     /**

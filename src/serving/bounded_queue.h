@@ -2,13 +2,14 @@
  * @file
  * Bounded multi-producer/multi-consumer queue with backpressure.
  *
- * The hand-off point between the dynamic batcher and the thread
+ * The hand-off point between the dynamic batcher and the threaded
  * worker pool, mirroring the run-queue/background-worker split of
  * production serving stacks (RedisAI-style). A full queue is the
  * backpressure signal: tryPush() fails instead of growing without
- * bound, and the caller decides whether to shed or stall.
+ * bound, and the caller sheds. Producers never block, so only
+ * consumers wait.
  *
- * The sharded runtime adds two consumer-side needs: popFor() bounds
+ * Two consumer-side needs come from the sharded pool: popFor() bounds
  * how long an idle worker sleeps before it looks at other shards'
  * queues (work stealing), and drained() is the post-close exit test.
  * Every lock acquisition notes itself with LockProbe so the zero-
@@ -57,26 +58,6 @@ class BoundedQueue
     }
 
     /**
-     * Enqueue, blocking while the queue is full. Returns false only
-     * if the queue is (or becomes) closed.
-     */
-    bool
-    push(T value)
-    {
-        {
-            LockProbe::noteAcquire();
-            std::unique_lock<std::mutex> lock(mutex_);
-            producerCv_.wait(lock,
-                             [this] { return closed_ || !full(); });
-            if (closed_)
-                return false;
-            items_.push_back(std::move(value));
-        }
-        consumerCv_.notify_one();
-        return true;
-    }
-
-    /**
      * Dequeue, blocking while the queue is empty. Returns nullopt
      * once the queue is closed AND drained — the worker shutdown
      * signal.
@@ -84,19 +65,11 @@ class BoundedQueue
     std::optional<T>
     pop()
     {
-        std::optional<T> out;
-        {
-            LockProbe::noteAcquire();
-            std::unique_lock<std::mutex> lock(mutex_);
-            consumerCv_.wait(
-                lock, [this] { return closed_ || !items_.empty(); });
-            if (items_.empty())
-                return std::nullopt;
-            out.emplace(std::move(items_.front()));
-            items_.pop_front();
-        }
-        producerCv_.notify_one();
-        return out;
+        LockProbe::noteAcquire();
+        std::unique_lock<std::mutex> lock(mutex_);
+        consumerCv_.wait(lock,
+                         [this] { return closed_ || !items_.empty(); });
+        return takeFront();
     }
 
     /**
@@ -107,37 +80,21 @@ class BoundedQueue
     std::optional<T>
     popFor(std::chrono::microseconds timeout)
     {
-        std::optional<T> out;
-        {
-            LockProbe::noteAcquire();
-            std::unique_lock<std::mutex> lock(mutex_);
-            consumerCv_.wait_for(lock, timeout, [this] {
-                return closed_ || !items_.empty();
-            });
-            if (items_.empty())
-                return std::nullopt;
-            out.emplace(std::move(items_.front()));
-            items_.pop_front();
-        }
-        producerCv_.notify_one();
-        return out;
+        LockProbe::noteAcquire();
+        std::unique_lock<std::mutex> lock(mutex_);
+        consumerCv_.wait_for(lock, timeout, [this] {
+            return closed_ || !items_.empty();
+        });
+        return takeFront();
     }
 
     /** Non-blocking dequeue. */
     std::optional<T>
     tryPop()
     {
-        std::optional<T> out;
-        {
-            LockProbe::noteAcquire();
-            std::lock_guard<std::mutex> lock(mutex_);
-            if (items_.empty())
-                return std::nullopt;
-            out.emplace(std::move(items_.front()));
-            items_.pop_front();
-        }
-        producerCv_.notify_one();
-        return out;
+        LockProbe::noteAcquire();
+        std::lock_guard<std::mutex> lock(mutex_);
+        return takeFront();
     }
 
     /** Reject new work; consumers drain what remains, then stop. */
@@ -149,7 +106,6 @@ class BoundedQueue
             std::lock_guard<std::mutex> lock(mutex_);
             closed_ = true;
         }
-        producerCv_.notify_all();
         consumerCv_.notify_all();
     }
 
@@ -166,14 +122,6 @@ class BoundedQueue
         LockProbe::noteAcquire();
         std::lock_guard<std::mutex> lock(mutex_);
         closed_ = false;
-    }
-
-    size_t
-    size() const
-    {
-        LockProbe::noteAcquire();
-        std::lock_guard<std::mutex> lock(mutex_);
-        return items_.size();
     }
 
     bool
@@ -196,9 +144,19 @@ class BoundedQueue
   private:
     bool full() const { return capacity_ != 0 && items_.size() >= capacity_; }
 
+    /** The oldest item, if any; mutex_ held. */
+    std::optional<T>
+    takeFront()
+    {
+        if (items_.empty())
+            return std::nullopt;
+        std::optional<T> out(std::move(items_.front()));
+        items_.pop_front();
+        return out;
+    }
+
     const size_t capacity_;
     mutable std::mutex mutex_;
-    std::condition_variable producerCv_;
     std::condition_variable consumerCv_;
     std::deque<T> items_;
     bool closed_ = false;

@@ -17,10 +17,9 @@ batchingModeName(BatchingMode mode)
 ContinuousBatcher::ContinuousBatcher(SequenceDecoder &decoder,
                                      sim::Executor &executor,
                                      ContinuousBatcherOptions options,
-                                     AdmissionController *admission,
                                      ServingStats *stats)
     : decoder_(decoder), executor_(executor), options_(options),
-      admission_(admission), stats_(stats),
+      stats_(stats),
       ring_(options.ringCapacity), slots_(decoder.slotCount())
 {
     assert(!slots_.empty());
@@ -49,14 +48,9 @@ ContinuousBatcher::issueQuery(
     loadgen::ResponseDelegate &delegate)
 {
     for (const auto &sample : samples) {
-        if (admission_ &&
-            !admission_->tryAdmit(1, ring_.approxSize())) {
-            shed(sample, delegate, false);
-            continue;
-        }
         PendingSeq seq{sample, &delegate, executor_.now()};
         if (!ring_.tryPush(seq)) {
-            shed(sample, delegate, admission_ != nullptr);
+            shed(sample, delegate);
             continue;
         }
         admitted_.fetch_add(1, std::memory_order_relaxed);
@@ -113,8 +107,6 @@ ContinuousBatcher::completeSlot(size_t slot)
     response.tokenCount = decoder_.tokenCount(slot);
     completionBuf_.push_back(std::move(response));
     s.delegate->querySamplesComplete(completionBuf_);
-    if (admission_)
-        admission_->release(1);
     completed_.fetch_add(1, std::memory_order_relaxed);
     --occupied_;
     if (options_.mode == BatchingMode::Continuous) {
@@ -131,11 +123,8 @@ ContinuousBatcher::completeSlot(size_t slot)
 
 void
 ContinuousBatcher::shed(const loadgen::QuerySample &sample,
-                        loadgen::ResponseDelegate &delegate,
-                        bool charged)
+                        loadgen::ResponseDelegate &delegate)
 {
-    if (charged && admission_)
-        admission_->release(1);
     shed_.fetch_add(1, std::memory_order_relaxed);
     std::vector<loadgen::QuerySampleResponse> responses(1);
     responses[0].id = sample.id;

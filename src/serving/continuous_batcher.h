@@ -16,8 +16,8 @@
  *
  *   issueQuery (any thread)           decode loop (one thread)
  *   ------------------------          ---------------------------
- *   per-tenant AdmissionController    pump():
- *   charge (optional)                   admit queued seqs into free
+ *                                     pump():
+ *                                       admit queued seqs into free
  *   lock-free MpscRing push   ----->    slots (prefill)
  *   (full ring => Shed)                 one decodeStep per occupied
  *                                       slot; first token fires
@@ -64,7 +64,6 @@
 #include "loadgen/sut.h"
 #include "loadgen/types.h"
 #include "serving/mpsc_ring.h"
-#include "serving/resilience.h"
 #include "serving/serving_stats.h"
 #include "sim/executor.h"
 
@@ -148,7 +147,7 @@ struct ContinuousBatcherOptions
 struct BatcherCounters
 {
     uint64_t admitted = 0;        //!< sequences accepted into the ring
-    uint64_t shed = 0;            //!< rejected (ring full / budget)
+    uint64_t shed = 0;            //!< rejected (ring full)
     uint64_t completed = 0;       //!< sequences finished
     uint64_t tokens = 0;          //!< output tokens produced
     uint64_t padSteps = 0;        //!< equal-FLOPs padding steps burned
@@ -169,13 +168,10 @@ class ContinuousBatcher : public loadgen::SystemUnderTest
      * @param executor timestamp source (RealExecutor for wall-clock
      *        runs, VirtualExecutor in deterministic tests). Must have
      *        a thread-safe now().
-     * @param admission optional per-tenant budget; charged per
-     *        sequence at issue, released at completion/shed.
      * @param stats optional sink for TTFT SLO outcomes.
      */
     ContinuousBatcher(SequenceDecoder &decoder, sim::Executor &executor,
                       ContinuousBatcherOptions options,
-                      AdmissionController *admission = nullptr,
                       ServingStats *stats = nullptr);
     ~ContinuousBatcher() override;
 
@@ -224,13 +220,12 @@ class ContinuousBatcher : public loadgen::SystemUnderTest
     void admitInto(size_t slot, PendingSeq &seq);
     void completeSlot(size_t slot);
     void shed(const loadgen::QuerySample &sample,
-              loadgen::ResponseDelegate &delegate, bool charged);
+              loadgen::ResponseDelegate &delegate);
     void workerLoop();
 
     SequenceDecoder &decoder_;
     sim::Executor &executor_;
     ContinuousBatcherOptions options_;
-    AdmissionController *admission_;
     ServingStats *stats_;
 
     MpscRing<PendingSeq> ring_;

@@ -1,9 +1,9 @@
 /**
  * @file
- * A threaded worker pool's batch queue together with the counters
- * that answer WorkerPool::workerFree(): the one implementation of the
- * demand protocol behind a window-0 DynamicBatcher, shared by
- * ThreadWorkerPool and every shard of ShardedWorkerPool.
+ * A shard's batch queue together with the counters that answer
+ * WorkerPool::workerFree(): the one threaded implementation of the
+ * demand protocol behind a window-0 DynamicBatcher, one per shard of
+ * ShardedWorkerPool.
  *
  * The protocol. A worker that finds no queued batch counts itself
  * idle, then pulls from its batcher; a producer releases a partial
@@ -66,8 +66,8 @@ class DemandQueue
         return true;
     }
 
-    /** Blocking pop by a worker counted idle; nullopt once closed and
-     *  drained. */
+    /** Blocking pop by a worker counted idle, the park of a worker
+     *  with no shard to steal from; nullopt once closed and drained. */
     std::optional<Batch> pop() { return uncount(queue_.pop()); }
 
     /** pop() that gives up after @p timeout; drained() tells a

@@ -2,18 +2,22 @@
  * @file
  * Bounded lock-free multi-producer/single-consumer ring.
  *
- * The publication channel of the sharded serving runtime: workers
+ * The publication channel of the threaded serving runtime: workers
  * push completion records (lock-free, a CAS on the enqueue cursor
- * plus a release store on the cell sequence), and the single drainer
- * thread pops them with plain loads/stores. The upstream LoadGen
- * names "efficient multi-thread friendly logging" as a design goal;
- * this ring is how the runtime keeps completion/stats publication off
+ * plus a release store on the cell sequence), and one consumer at a
+ * time pops them with plain loads/stores. In ShardedWorkerPool the
+ * consumer is whichever worker holds the drain role; the role passes
+ * between threads through an acq_rel exchange, which orders one
+ * holder's pops before the next holder's. The upstream LoadGen names
+ * "efficient multi-thread friendly logging" as a design goal; this
+ * ring is how the runtime keeps completion/stats publication off
  * every worker's critical path at saturation.
  *
  * Implementation: Dmitry Vyukov's bounded MPMC queue, specialized in
- * usage (one consumer) but not in algorithm — each cell carries a
- * sequence number that encodes whether it is free, full, or being
- * written, so producers never wait on the consumer and vice versa.
+ * usage (one consumer at a time) but not in algorithm — each cell
+ * carries a sequence number that encodes whether it is free, full,
+ * or being written, so producers never wait on the consumer and vice
+ * versa.
  *
  * Memory-order contract (documented in DESIGN.md "Sharded serving &
  * lock-free completion"):
@@ -91,7 +95,7 @@ class MpscRing
     }
 
     /**
-     * Consume the oldest record into @p out. Single consumer only.
+     * Consume the oldest record into @p out. One consumer at a time.
      * Returns false when the ring is empty.
      */
     bool
@@ -109,6 +113,25 @@ class MpscRing
         cell.seq.store(pos + mask_ + 1, std::memory_order_release);
         tail_.store(pos + 1, std::memory_order_relaxed);
         return true;
+    }
+
+    /**
+     * Whether tryPop would yield a record now: the oldest cell is
+     * published. False while that cell's producer is between its
+     * cursor CAS and its release store, even if later cells are full.
+     * Safe from any thread: a read of the consumer cursor that lags
+     * another consumer's pops finds a freed or refilled cell, and
+     * answers true.
+     */
+    bool
+    ready() const
+    {
+        const uint64_t pos = tail_.load(std::memory_order_relaxed);
+        const uint64_t seq =
+            cells_[pos & mask_].seq.load(std::memory_order_acquire);
+        const int64_t dif = static_cast<int64_t>(seq) -
+                            static_cast<int64_t>(pos + 1);
+        return dif >= 0;
     }
 
     /** Racy size estimate; exact only when producers are quiescent. */

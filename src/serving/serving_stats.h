@@ -13,10 +13,11 @@
  * flight at the instant of the copy; they are exact once the runtime
  * is quiescent, which is when verdicts are read). The counters are
  * grouped by writer into cache-line-aligned blocks so the issue
- * thread, the worker/drainer side, and the resilience layer never
+ * thread, the worker side, and the resilience layer never
  * false-share a line. Only the histograms stay behind mutexes, one
- * per writer side; in the sharded runtime those are touched by the
- * single drainer thread and the issue thread only, never by workers.
+ * per writer side; in the threaded runtime those are touched by the
+ * drain role's holder (one worker at a time, off the fast path) and
+ * the issue thread only.
  */
 
 #ifndef MLPERF_SERVING_SERVING_STATS_H
@@ -157,9 +158,9 @@ class ServingStats
     void recordBatchFormed(const Batch &batch);
 
     /**
-     * A worker picked @p batch up at @p now. In the sharded runtime
-     * the drainer replays this off the ring with the recorded
-     * dispatch tick, so the histogram sees identical values.
+     * A worker picked @p batch up at @p now. In the threaded runtime
+     * the drain role's holder replays this off the ring with the
+     * recorded dispatch tick, so the histogram sees identical values.
      */
     void recordDispatch(const Batch &batch, sim::Tick now);
 
@@ -221,8 +222,8 @@ class ServingStats
         Counter batchesShed{0};
     };
 
-    /** Written by workers, the drainer or the tracker; the ledger is
-     *  indexed by ResponseStatus. */
+    /** Written by workers, the drain role's holder or the tracker;
+     *  the ledger is indexed by ResponseStatus. */
     struct alignas(64) CompletionCounters
     {
         Counter batchesCompleted{0};
@@ -249,8 +250,8 @@ class ServingStats
     };
 
     /**
-     * SLO outcomes (written by the drainer alongside the completion
-     * counters) and scale events (written by the autoscaler's
+     * SLO outcomes (written by the drain role's holder alongside the
+     * completion counters) and scale events (written by the autoscaler's
      * controller thread, a few times per second at most — the shared
      * line costs nothing at that rate).
      */

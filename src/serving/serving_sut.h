@@ -194,7 +194,7 @@ class ServingSut : public loadgen::SystemUnderTest
         return activeBatchers_.load(std::memory_order_acquire);
     }
 
-    /** The sharded pool when shardCount() > 1, else null. */
+    /** The threaded pool (Threads mode, any shard count), else null. */
     ShardedWorkerPool *shardedPool() { return sharded_; }
 
     /** The SLO autoscaler when options enabled it, else null. */
@@ -215,7 +215,7 @@ class ServingSut : public loadgen::SystemUnderTest
     std::shared_ptr<CompletionTracker> tracker_;
     std::unique_ptr<ResilientInference> resilient_;
     std::unique_ptr<WorkerPool> pool_;
-    ShardedWorkerPool *sharded_ = nullptr;  //!< pool_ view when sharded
+    ShardedWorkerPool *sharded_ = nullptr;  //!< pool_ view, Threads
     /** One batcher per shard (a single one when unsharded), so batch
      *  formation itself never crosses shards. */
     std::vector<std::unique_ptr<DynamicBatcher>> batchers_;

@@ -13,9 +13,10 @@ namespace {
 
 constexpr auto kRelaxed = std::memory_order_relaxed;
 
-/** How long an idle worker parks on its own queue between steal
- *  sweeps. Short enough that a burst landing on a neighbour shard is
- *  picked up promptly; long enough that an idle pool does not spin. */
+/** How long an idle worker that may steal parks on its own queue
+ *  between steal sweeps. Short enough that a burst landing on a
+ *  neighbour shard is picked up promptly; long enough that an idle
+ *  pool does not spin. */
 constexpr std::chrono::microseconds kIdleParkUs{200};
 
 ShardOptions
@@ -60,9 +61,8 @@ ShardedWorkerPool::ShardedWorkerPool(sim::Executor &executor,
     }
     activeShards_.store(active, std::memory_order_release);
     stats_.setWorkers(workerCount());
-    stats_.setActiveShards(static_cast<int64_t>(active));
-
-    drainer_ = std::thread([this] { drainerLoop(); });
+    if (shards > 1)  // the gauge reads 0 for an unsharded pool
+        stats_.setActiveShards(static_cast<int64_t>(active));
 
     for (size_t s = 0; s < active; ++s)
         spawnShardWorkers(s);
@@ -203,14 +203,9 @@ ShardedWorkerPool::shutdown()
         shard->workers.clear();
     }
     // Workers are joined, so every record they will ever publish is
-    // already in a ring; the drainer's final sweep cannot miss any.
-    {
-        std::lock_guard<std::mutex> wake(wakeMutex_);
-        drainerStop_ = true;
-    }
-    wakeCv_.notify_one();
-    if (drainer_.joinable())
-        drainer_.join();
+    // already in a ring and none of them holds the drain role: this
+    // sweep takes it and cannot miss a record.
+    drainIfFree();
 }
 
 uint64_t
@@ -248,6 +243,10 @@ ShardedWorkerPool::workerLoop(size_t shard_index)
 {
     IntraOpBinding budget(intraOpWidth_);
     Shard &own = *shards_[shard_index];
+    // With no other shard to steal from, an idle worker parks until
+    // work or close arrives: a timed park would only wake it to find
+    // nothing, at a context switch per wake.
+    const bool may_steal = options_.stealWhenIdle && shards_.size() > 1;
     for (;;) {
         // Own work first: a shard's workers are its dedicated service
         // capacity, and stealing is strictly the idle fallback.
@@ -265,13 +264,14 @@ ShardedWorkerPool::workerLoop(size_t shard_index)
         // A draining shard's workers do not steal: their job is to
         // empty their own queue and exit so the shrink join returns.
         Batch stolen;
-        if (options_.stealWhenIdle && own.accepting.load(kRelaxed) &&
+        if (may_steal && own.accepting.load(kRelaxed) &&
             trySteal(shard_index, stolen)) {
             own.queue.leaveIdle();
             process(shard_index, std::move(stolen));
             continue;
         }
-        auto batch = own.queue.popFor(kIdleParkUs);
+        auto batch = may_steal ? own.queue.popFor(kIdleParkUs)
+                               : own.queue.pop();
         own.queue.leaveIdle();
         if (batch) {
             process(shard_index, std::move(*batch));
@@ -331,87 +331,57 @@ ShardedWorkerPool::publish(Shard &shard, CompletionRecord &&record)
             LockProbe::threadAcquisitions() - locks_before;
         if (delta != 0)
             fastPathLocks_.fetch_add(delta, kRelaxed);
-        wakeDrainerIfIdle();
+        drainIfFree();
         return;
     }
-    // Ring full: the drainer is far behind (or the ring is test-tiny).
-    // Complete through the locked slow path rather than block or drop,
-    // and make the event visible — a nonzero fallback count at sane
-    // ring sizes means the drainer is the bottleneck.
+    // Ring full: the drain role's holder is far behind (or the ring is
+    // test-tiny). Complete through the locked slow path rather than
+    // block or drop, and make the event visible — a nonzero fallback
+    // count at sane ring sizes means applying records is the
+    // bottleneck.
     ringFallbacks_.fetch_add(1, kRelaxed);
     applyRecord(record, stats_, options_.trackerActive,
                 options_.sloTargetNs);
 }
 
 void
-ShardedWorkerPool::wakeDrainerIfIdle()
+ShardedWorkerPool::drainIfFree()
 {
-    // The check is a read-modify-write that writes nothing new, so it
-    // takes a place in drainerIdle_'s modification order like the
-    // drainer's two exchanges (see drainerLoop()).
-    if (drainerIdle_.fetch_or(0, std::memory_order_acq_rel) == 0)
-        return;
-    {
-        std::lock_guard<std::mutex> lock(wakeMutex_);
+    // No record is stranded. Every access to draining_ is an acq_rel
+    // exchange (which ThreadSanitizer models, unlike a fence). The
+    // exchanges are totally ordered, each reads the one before it,
+    // and since no plain store ever intervenes, every exchange after
+    // a release continues the release sequence it heads. Take a
+    // publisher whose exchange E, after its ring push, finds the role
+    // held: the holder's release exchange R comes after E, so E
+    // synchronizes-with R and the holder's re-check below sees the
+    // push. That re-check may still find the ring's next record half
+    // written (its producer between the cursor CAS and the release
+    // store) and return; that producer's own E then comes after R
+    // (else the re-check would have seen its store), so the producer
+    // or the next holder — who acquired after R, and so sees every
+    // record pushed before it — drains past it.
+    while (!draining_.exchange(true, std::memory_order_acq_rel)) {
+        drainRingsOnce();
+        draining_.exchange(false, std::memory_order_acq_rel);
+        if (std::none_of(shards_.begin(), shards_.end(),
+                         [](const auto &shard) {
+                             return shard->ring.ready();
+                         })) {
+            return;
+        }
     }
-    wakeCv_.notify_one();
 }
 
-bool
+void
 ShardedWorkerPool::drainRingsOnce()
 {
-    bool any = false;
     CompletionRecord record;
     for (auto &shard : shards_) {
         while (shard->ring.tryPop(record)) {
             applyRecord(record, stats_, options_.trackerActive,
                         options_.sloTargetNs);
-            any = true;
         }
-    }
-    return any;
-}
-
-void
-ShardedWorkerPool::drainerLoop()
-{
-    for (;;) {
-        if (drainRingsOnce())
-            continue;
-        std::unique_lock<std::mutex> lock(wakeMutex_);
-        if (drainerStop_) {
-            lock.unlock();
-            // Workers are joined before drainerStop_ is set, so one
-            // final sweep observes every published record.
-            while (drainRingsOnce()) {
-            }
-            return;
-        }
-        // No lost wake-up. Every access to drainerIdle_ is an acq_rel
-        // read-modify-write (which ThreadSanitizer models, unlike a
-        // fence); RMWs on one atomic are totally ordered and each
-        // reads the one before it. Take a publisher's check P, which
-        // follows its ring push. If P reads 1, the publisher rings the
-        // bell: this thread holds wakeMutex_ from before the announce
-        // until wait_for releases it, so the notify cannot land ahead
-        // of the wait. If P reads 0, or the wait timed out before the
-        // bell, this thread's next announce A comes after P. Every RMW
-        // after P continues the release sequence P heads, so A
-        // synchronizes-with P whatever it reads, and the recheck after
-        // A sees the push. Hence the un-idle is an RMW too: a plain
-        // store between P and A would end P's release sequence, and A
-        // reading it would order nothing.
-        drainerIdle_.exchange(1, std::memory_order_acq_rel);
-        bool pending = false;
-        for (auto &shard : shards_) {
-            if (!shard->ring.empty()) {
-                pending = true;
-                break;
-            }
-        }
-        if (!pending)
-            wakeCv_.wait_for(lock, std::chrono::milliseconds(1));
-        drainerIdle_.exchange(0, std::memory_order_acq_rel);
     }
 }
 

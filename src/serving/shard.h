@@ -1,50 +1,50 @@
 /**
  * @file
- * Sharded serving runtime: N independent shards, each with its own
- * bounded queue and worker threads, publishing completions into
- * per-shard lock-free rings drained by one drainer thread.
+ * The threaded serving runtime: N independent shards, each with its
+ * own bounded queue and worker threads, publishing completions into
+ * per-shard lock-free rings. Threads mode runs on it at every shard
+ * count, the default single shard included.
  *
- * Why: at high core counts the single-shard runtime tops out on
- * shared locks — one batcher, one MPMC queue, and mutex-guarded
- * stats/tracker sit on every sample's hot path (ROADMAP item 2).
+ * Why shards: at high core counts one batcher, one MPMC queue, and
+ * mutex-guarded stats/tracker sit on every sample's hot path.
  * Sharding splits every shared structure: samples are routed to a
  * shard by hash, live their whole queued life inside it, and the
- * only cross-shard interaction is idle-only work stealing. The
- * completion/stats path is replaced wholesale: a worker finishing a
- * batch publishes one CompletionRecord (serving/batch.h) into its
- * shard's MpscRing — a CAS and a release store, no mutex — and
- * returns to pulling work. The single drainer thread applies the
- * records with the same applyRecord every pool uses, so it owns
- * everything downstream: per-stage histogram merges,
- * CompletionTracker dedup (it is the only steady-state caller; only
- * the deadline reaper ever contends), and delegate delivery.
+ * only cross-shard interaction is idle-only work stealing.
+ *
+ * Completions. A worker finishing a batch publishes one
+ * CompletionRecord (serving/batch.h) into its shard's MpscRing — a
+ * CAS and a release store, no mutex — and then tries to take the
+ * drain role: one acq_rel exchange on a flag. The worker that holds
+ * it applies every published record with the same applyRecord every
+ * pool uses, so one thread at a time owns everything downstream:
+ * per-stage histogram merges, CompletionTracker dedup, SLO judging
+ * and delegate delivery. A worker that finds the role taken leaves
+ * its record to the holder, whose re-check after giving the role up
+ * sees it (drainIfFree() has the argument). No thread exists only to
+ * drain, and no thread waits for the role.
  *
  * Steady-state locking contract, checked by LockProbe in the shard
  * tests: a worker's path from runBatch() returning to the record
- * landing in the ring acquires zero mutexes. Two deliberate
- * exceptions, neither on the steady-state path: (1) when a ring is
- * full the worker completes the batch directly through the locked
- * path (counted in ringFallbacks(), never silent); (2) when the
- * drainer has gone idle, the first publisher after the lull takes
- * the wake mutex to signal it — under saturating load the drainer
- * never sleeps, so the fast path never pays it (a 1 ms wait bound
- * on the drainer makes the wake-up race benign).
+ * landing in the ring acquires zero mutexes. One deliberate
+ * exception, off the steady-state path: when a ring is full the
+ * worker completes the batch directly through the locked path
+ * (counted in ringFallbacks(), never silent).
  *
- * Per-thread ScratchArenas become per-shard arenas, and the
- * prepacked constant section is shared read-only, so shards need no
- * constant replication. Every worker binds its share of the intra-op
- * budget, counting the autoscaler's ceiling of shards x workers.
+ * Every worker binds its share of the intra-op budget, counting the
+ * autoscaler's ceiling of shards x workers; the prepacked constant
+ * section is shared read-only, so shards need no replication.
  *
  * Demand (window-0 batchers) is per shard: each shard's DemandQueue
  * answers workerFree(s), and a worker whose own queue is empty pulls
- * from its shard's batcher before it tries to steal.
+ * from its shard's batcher before it tries to steal. A worker with no
+ * other shard to steal from parks on its queue until work or close
+ * arrives; only a steal sweep wakes on a timer.
  */
 
 #ifndef MLPERF_SERVING_SHARD_H
 #define MLPERF_SERVING_SHARD_H
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -88,9 +88,9 @@ struct ShardOptions
     int64_t initialActiveShards = 0;
     /**
      * Per-sample completion-latency SLO (enqueue to completion); when
-     * nonzero the drainer judges every completed sample against it and
-     * feeds ServingStats::recordSloOutcome — the autoscaler's error
-     * signal. 0 disables the accounting.
+     * nonzero the drain-role holder judges every completed sample
+     * against it and feeds ServingStats::recordSloOutcome — the
+     * autoscaler's error signal. 0 disables the accounting.
      */
     sim::Tick sloTargetNs = 0;
 };
@@ -226,7 +226,6 @@ class ShardedWorkerPool : public WorkerPool
     void workerLoop(size_t shard_index);
     /** Spawn options_.workersPerShard threads into shard @p index. */
     void spawnShardWorkers(size_t index);
-    void drainerLoop();
     /** tryPopBusy on shard @p index, pulling for its idle worker. */
     std::optional<Batch> popBusy(size_t index);
     /** Steal from another shard; called only with own queue empty. */
@@ -234,9 +233,10 @@ class ShardedWorkerPool : public WorkerPool
     void process(size_t shard_index, Batch &&batch);
     /** Publish @p record; full ring falls back to applyRecord. */
     void publish(Shard &shard, CompletionRecord &&record);
-    /** Drain every shard ring once; true if anything was applied. */
-    bool drainRingsOnce();
-    void wakeDrainerIfIdle();
+    /** Take the drain role unless held, and apply what is published. */
+    void drainIfFree();
+    /** Apply every record each ring yields now (drain role held). */
+    void drainRingsOnce();
 
     sim::Executor &executor_;
     BatchInference &inference_;
@@ -245,7 +245,6 @@ class ShardedWorkerPool : public WorkerPool
     const PullFn pull_;
     const int intraOpWidth_;
     std::vector<std::unique_ptr<Shard>> shards_;
-    std::thread drainer_;
     std::atomic<bool> stopped_{false};
 
     /** Active shards form the prefix [0, activeShards_). */
@@ -257,17 +256,9 @@ class ShardedWorkerPool : public WorkerPool
 
     alignas(64) std::atomic<uint64_t> fastPathLocks_{0};
     std::atomic<uint64_t> ringFallbacks_{0};
-
-    // Drainer wake protocol: publishers check drainerIdle_ (an
-    // acq_rel fetch_or(0)) and only touch the mutex when the drainer
-    // actually sleeps; the drainer re-checks the rings after raising
-    // the flag. Every access is an RMW, which is what makes the
-    // protocol lose no wake-up (drainerLoop() has the argument); the
-    // bounded wait stays as a backstop, never a hang.
-    std::mutex wakeMutex_;
-    std::condition_variable wakeCv_;
-    std::atomic<unsigned> drainerIdle_{0};
-    bool drainerStop_ = false;  //!< guarded by wakeMutex_
+    /** The drain role: set while one worker applies ring records.
+     *  Every access is an acq_rel exchange (drainIfFree()). */
+    alignas(64) std::atomic<bool> draining_{false};
 };
 
 } // namespace serving

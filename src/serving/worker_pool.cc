@@ -3,90 +3,10 @@
 #include <algorithm>
 #include <utility>
 
-#include "common/parallel.h"
 #include "serving/shard.h"
 
 namespace mlperf {
 namespace serving {
-
-// --------------------------------------------------- ThreadWorkerPool
-
-ThreadWorkerPool::ThreadWorkerPool(sim::Executor &executor,
-                                   BatchInference &inference,
-                                   ServingStats &stats, int64_t workers,
-                                   size_t queue_capacity,
-                                   bool tracker_active, PullFn pull)
-    : executor_(executor), inference_(inference), stats_(stats),
-      trackerActive_(tracker_active), pull_(std::move(pull)),
-      intraOpWidth_(ThreadPool::budgetShare(workers)),
-      queue_(queue_capacity)
-{
-    workers = std::max<int64_t>(1, workers);
-    stats_.setWorkers(workers);
-    threads_.reserve(static_cast<size_t>(workers));
-    for (int64_t i = 0; i < workers; ++i)
-        threads_.emplace_back([this] { workerLoop(); });
-}
-
-ThreadWorkerPool::~ThreadWorkerPool()
-{
-    shutdown();
-}
-
-bool
-ThreadWorkerPool::submit(Batch &batch)
-{
-    return queue_.tryPush(batch);
-}
-
-void
-ThreadWorkerPool::shutdown()
-{
-    if (stopped_.exchange(true))
-        return;
-    queue_.close();
-    for (std::thread &thread : threads_) {
-        if (thread.joinable())
-            thread.join();
-    }
-}
-
-void
-ThreadWorkerPool::workerLoop()
-{
-    IntraOpBinding budget(intraOpWidth_);
-    const auto pull = [this] { return pull_ && pull_(0); };
-    for (;;) {
-        std::optional<Batch> batch = queue_.tryPopBusy(pull);
-        if (!batch) {
-            // Out of queued batches: idle before the pull, the order
-            // the demand protocol rests on (serving/demand_queue.h).
-            queue_.enterIdle();
-            const bool pulled = pull();
-            if (!pulled)
-                batch = queue_.pop();
-            queue_.leaveIdle();
-            if (pulled)
-                continue;
-            if (!batch)
-                return;  // closed and drained
-        }
-        process(std::move(*batch));
-    }
-}
-
-void
-ThreadWorkerPool::process(Batch &&batch)
-{
-    const sim::Tick start = executor_.now();
-    CompletionRecord expired = expiredRecord(batch, start);
-    applyRecord(expired, stats_, trackerActive_);
-    if (batch.items.empty())
-        return;
-    CompletionRecord record =
-        runBatchRecord(executor_, inference_, std::move(batch), start);
-    applyRecord(record, stats_, trackerActive_);
-}
 
 // ---------------------------------------------------- EventWorkerPool
 
@@ -185,7 +105,7 @@ makeWorkerPool(sim::Executor &executor, BatchInference &inference,
                ServingStats &stats, const PoolPlan &plan,
                WorkerPool::PullFn pull)
 {
-    if (plan.shards > 1 || plan.activeShards > 0) {
+    if (plan.mode == WorkerMode::Threads) {
         ShardOptions sharding;
         sharding.shards = plan.shards;
         sharding.initialActiveShards = plan.activeShards;
@@ -201,11 +121,6 @@ makeWorkerPool(sim::Executor &executor, BatchInference &inference,
         sharding.sloTargetNs = plan.sloTargetNs;
         return std::make_unique<ShardedWorkerPool>(
             executor, inference, stats, sharding, std::move(pull));
-    }
-    if (plan.mode == WorkerMode::Threads) {
-        return std::make_unique<ThreadWorkerPool>(
-            executor, inference, stats, plan.workers,
-            plan.queueCapacityBatches, plan.trackerActive, std::move(pull));
     }
     return std::make_unique<EventWorkerPool>(
         executor, inference, stats, plan.workers, plan.queueCapacityBatches,

@@ -2,12 +2,13 @@
  * @file
  * Worker pools that execute formed batches concurrently.
  *
- * Two implementations behind one interface:
+ * Two implementations behind one interface, one per kind of time:
  *
- *  - ThreadWorkerPool: N OS threads pull batches from a bounded MPMC
- *    queue and run real inference (RedisAI-style background
- *    workers). Used with RealExecutor, where compute takes wall time.
- *    Each thread binds its share of the intra-op budget
+ *  - ShardedWorkerPool (serving/shard.h): OS threads pull batches
+ *    from bounded per-shard queues and run real inference
+ *    (RedisAI-style background workers). Used with RealExecutor,
+ *    where compute takes wall time, at every shard count. Each
+ *    thread binds its share of the intra-op budget
  *    (ThreadPool::budgetShare), so concurrent workers never wait on
  *    one another's kernel pool.
  *  - EventWorkerPool: N logical workers advance virtual time by the
@@ -20,25 +21,21 @@
  * it). Both report demand for a window-0 batcher: workerFree() says
  * whether a worker could start another batch now, and a worker that
  * runs out of queued batches calls the pool's PullFn to have the
- * batcher emit the samples it holds. Both, like ShardedWorkerPool,
- * reach the batch-outcome policy only through serving/batch.h, and
- * are built through makeWorkerPool().
+ * batcher emit the samples it holds. Both reach the batch-outcome
+ * policy only through serving/batch.h, and are built through
+ * makeWorkerPool().
  */
 
 #ifndef MLPERF_SERVING_WORKER_POOL_H
 #define MLPERF_SERVING_WORKER_POOL_H
 
-#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <memory>
-#include <thread>
-#include <vector>
 
 #include "serving/batch.h"
 #include "serving/batch_inference.h"
-#include "serving/demand_queue.h"
 #include "serving/serving_stats.h"
 #include "sim/executor.h"
 
@@ -89,58 +86,6 @@ class WorkerPool
     virtual bool workerFree(size_t shard) const = 0;
 };
 
-/** N threads around a bounded queue; inference takes real time. */
-class ThreadWorkerPool : public WorkerPool
-{
-  public:
-    /**
-     * @param tracker_active a CompletionTracker records the ledger
-     *        (applyRecord, serving/batch.h)
-     * @param pull demand pull (shard 0); empty = workers only take
-     *        submitted batches
-     */
-    ThreadWorkerPool(sim::Executor &executor,
-                     BatchInference &inference, ServingStats &stats,
-                     int64_t workers, size_t queue_capacity,
-                     bool tracker_active = false, PullFn pull = {});
-    ~ThreadWorkerPool() override;
-
-    bool submit(Batch &batch) override;
-    void shutdown() override;
-    int64_t
-    workerCount() const override
-    {
-        return static_cast<int64_t>(threads_.size());
-    }
-    uint64_t
-    queuedSamples() const override
-    {
-        return queue_.queuedSamples();
-    }
-    bool
-    workerFree(size_t) const override
-    {
-        return queue_.workerFree();
-    }
-
-    /** Intra-op threads each worker runs its kernels on. */
-    int intraOpWidth() const { return intraOpWidth_; }
-
-  private:
-    void workerLoop();
-    void process(Batch &&batch);
-
-    sim::Executor &executor_;
-    BatchInference &inference_;
-    ServingStats &stats_;
-    const bool trackerActive_;
-    const PullFn pull_;
-    const int intraOpWidth_;
-    DemandQueue queue_;
-    alignas(64) std::atomic<bool> stopped_{false};
-    std::vector<std::thread> threads_;
-};
-
 /**
  * N logical workers driven entirely by executor events; inference
  * cost comes from BatchInference::serviceTimeNs. Runs on the
@@ -150,7 +95,12 @@ class ThreadWorkerPool : public WorkerPool
 class EventWorkerPool : public WorkerPool
 {
   public:
-    /** @param tracker_active, pull see ThreadWorkerPool. */
+    /**
+     * @param tracker_active a CompletionTracker records the ledger
+     *        (applyRecord, serving/batch.h)
+     * @param pull demand pull (shard 0); empty = workers only take
+     *        submitted batches
+     */
     EventWorkerPool(sim::Executor &executor,
                     BatchInference &inference, ServingStats &stats,
                     int64_t workers, size_t queue_capacity,
@@ -205,18 +155,17 @@ struct PoolPlan
     int64_t activeShards = 0;
     bool stealWhenIdle = true;
     bool trackerActive = false;  //!< see applyRecord (serving/batch.h)
-    sim::Tick sloTargetNs = 0;   //!< judged by the sharded drainer
+    sim::Tick sloTargetNs = 0;   //!< judged by the drain role (Threads)
 };
 
 /** @p plan with Auto resolved by the executor and its shards settled. */
 PoolPlan resolvePlan(PoolPlan plan, const sim::Executor &executor);
 
 /**
- * Build the pool a resolved @p plan names: a ShardedWorkerPool when it
- * has several shards or is elastic, else a ThreadWorkerPool (Threads)
- * or an EventWorkerPool (Events). @p pull is the demand pull; a
- * frontend with a batcher per shard builds them first, since workers
- * may pull as soon as they start.
+ * Build the pool a resolved @p plan names: a ShardedWorkerPool for
+ * Threads (one shard by default), an EventWorkerPool for Events.
+ * @p pull is the demand pull; a frontend with a batcher per shard
+ * builds them first, since workers may pull as soon as they start.
  */
 std::unique_ptr<WorkerPool> makeWorkerPool(sim::Executor &executor,
                                            BatchInference &inference,

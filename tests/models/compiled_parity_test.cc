@@ -1,8 +1,8 @@
 /**
  * @file
  * Differential parity suite for the compiled execution path: every
- * proxy model in models/* must produce the same outputs through its
- * fused, memory-planned CompiledModel as through the eager
+ * proxy model under src/models must produce the same outputs through
+ * its fused, memory-planned CompiledModel as through the eager
  * Layer::forward reference — FP32 within 1e-4 relative (fusion and
  * the NCHWc direct kernels reorder float math; large logits make an
  * absolute bound sub-ulp), INT8 bit-exact — at batch 1 and batch 8.

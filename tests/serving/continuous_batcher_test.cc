@@ -262,8 +262,7 @@ TEST(ContinuousBatcher, JudgesTtftSloIntoServingStats)
     ContinuousBatcherOptions options =
         manualOptions(BatchingMode::Continuous);
     options.ttftSloNs = 10;  // virtual time never advances: 0 ns TTFT
-    ContinuousBatcher batcher(decoder, executor, options, nullptr,
-                              &stats);
+    ContinuousBatcher batcher(decoder, executor, options, &stats);
     RecordingDelegate delegate;
 
     batcher.issueQuery(makeSamples({2, 2}), delegate);

@@ -24,7 +24,6 @@
 #include "models/classifier.h"
 #include "nn/plan.h"
 #include "serving/shard.h"
-#include "serving/worker_pool.h"
 #include "sim/real_executor.h"
 
 namespace mlperf {
@@ -74,6 +73,17 @@ class CollectingDelegate : public loadgen::ResponseDelegate
     mutable std::mutex mutex_;
     std::vector<loadgen::QuerySampleResponse> data_;
 };
+
+/** Threads mode's default pool: one shard, an unbounded queue. */
+ShardOptions
+oneShard(int64_t workers)
+{
+    ShardOptions options;
+    options.shards = 1;
+    options.workersPerShard = workers;
+    options.queueCapacityBatches = 0;
+    return options;
+}
 
 Batch
 makeBatch(uint64_t first_id, uint64_t size,
@@ -177,7 +187,7 @@ TEST_F(CpuBudget, WorkersSplitTheIntraOpBudget)
     ThreadCountingInference inference;
     ServingStats stats;
     for (int64_t workers : {1, 2, 3, 4, 8}) {
-        ThreadWorkerPool pool(ex, inference, stats, workers, 0);
+        ShardedWorkerPool pool(ex, inference, stats, oneShard(workers));
         const int width = pool.intraOpWidth();
         EXPECT_EQ(width, std::max<int64_t>(1, kBudget / workers))
             << workers;
@@ -208,7 +218,7 @@ TEST_F(CpuBudget, WorkerParallelForStaysWithinItsWidth)
     CollectingDelegate delegate;
     for (int64_t workers : {1, 2, 4}) {
         ThreadCountingInference inference;
-        ThreadWorkerPool pool(ex, inference, stats, workers, 0);
+        ShardedWorkerPool pool(ex, inference, stats, oneShard(workers));
         for (uint64_t b = 0; b < 12; ++b) {
             Batch batch = makeBatch(b, 1, delegate);
             ASSERT_TRUE(pool.submit(batch));
@@ -271,7 +281,7 @@ TEST_F(CpuBudgetResnet, WorkerOutputsBitIdenticalToGlobalPool)
     ServingStats stats;
     for (int64_t workers : {1, 2, 4}) {  // widths 4, 2, 1
         CollectingDelegate delegate;
-        ThreadWorkerPool pool(ex, inference, stats, workers, 0);
+        ShardedWorkerPool pool(ex, inference, stats, oneShard(workers));
         Batch batch = makeBatch(0, kBatch, delegate);
         ASSERT_TRUE(pool.submit(batch));
         pool.shutdown();
@@ -302,7 +312,7 @@ TEST_F(CpuBudgetResnet, WidthOneWorkerTakesNoProbedLocks)
     sim::RealExecutor ex;
     ServingStats stats;
     CollectingDelegate delegate;
-    ThreadWorkerPool pool(ex, inference, stats, kBudget, 0);
+    ShardedWorkerPool pool(ex, inference, stats, oneShard(kBudget));
     ASSERT_EQ(pool.intraOpWidth(), 1);
     uint64_t id = 0;
     for (uint64_t size = 1; size <= 8; ++size) {

@@ -4,14 +4,13 @@
  * scripted batches (an Ok batch, faults that end Failed, a dropped
  * completion with and without deadlines, and a batch with expired
  * items) must leave the same status per sample, the same sample
- * ledger and the same stage counters whether ThreadWorkerPool,
- * EventWorkerPool, or a 1- or 2-shard ShardedWorkerPool runs them.
+ * ledger and the same stage counters whether EventWorkerPool or a 1-
+ * or 2-shard ShardedWorkerPool runs them.
  */
 
 #include <gtest/gtest.h>
 
 #include <map>
-#include <memory>
 #include <mutex>
 #include <stdexcept>
 #include <string>
@@ -150,7 +149,7 @@ scriptedBatches(loadgen::ResponseDelegate &delegate)
     return batches;
 }
 
-enum class PoolKind { Threads, Events, OneShard, TwoShards };
+enum class PoolKind { Events, OneShard, TwoShards };
 
 Outcome
 runScript(PoolKind kind, bool tracker_active)
@@ -172,20 +171,13 @@ runScript(PoolKind kind, bool tracker_active)
         ex.run();
     } else {
         sim::RealExecutor ex;
-        std::unique_ptr<WorkerPool> pool;
-        if (kind == PoolKind::Threads) {
-            pool = std::make_unique<ThreadWorkerPool>(
-                ex, inference, stats, 1, 0, tracker_active);
-        } else {
-            ShardOptions options;
-            options.shards = kind == PoolKind::OneShard ? 1 : 2;
-            options.queueCapacityBatches = 0;
-            options.trackerActive = tracker_active;
-            pool = std::make_unique<ShardedWorkerPool>(ex, inference,
-                                                       stats, options);
-        }
-        submitAll(*pool);
-        pool->shutdown();  // drains queues, workers and completion rings
+        ShardOptions options;
+        options.shards = kind == PoolKind::OneShard ? 1 : 2;
+        options.queueCapacityBatches = 0;
+        options.trackerActive = tracker_active;
+        ShardedWorkerPool pool(ex, inference, stats, options);
+        submitAll(pool);
+        pool.shutdown();  // drains queues, workers and completion rings
     }
 
     const StatsSnapshot snapshot = stats.snapshot();
@@ -210,7 +202,8 @@ TEST(PoolOutcome, EveryPoolAppliesTheSamePolicy)
     // status; without one it records each answer it delivers.
     for (const bool tracker : {false, true}) {
         SCOPED_TRACE(tracker ? "tracker active" : "no tracker");
-        const Outcome threads = runScript(PoolKind::Threads, tracker);
+        // The reference: Threads mode's default pool.
+        const Outcome reference = runScript(PoolKind::OneShard, tracker);
 
         // The policy itself, spelled out once. 30 and 31 stay
         // unanswered: their deadlines' reaper answers them.
@@ -220,24 +213,22 @@ TEST(PoolOutcome, EveryPoolAppliesTheSamePolicy)
             {20, ResponseStatus::Failed},  {40, ResponseStatus::Timeout},
             {41, ResponseStatus::Ok},      {42, ResponseStatus::Timeout},
             {50, ResponseStatus::Failed}};
-        EXPECT_EQ(threads.statuses, expected);
-        EXPECT_EQ(threads.completedOk, tracker ? 0u : 3u);
-        EXPECT_EQ(threads.completedDegraded, 0u);
-        EXPECT_EQ(threads.completedShed, 0u);
-        EXPECT_EQ(threads.completedTimeout, tracker ? 0u : 2u);
-        EXPECT_EQ(threads.completedFailed, tracker ? 0u : 4u);
-        EXPECT_EQ(threads.batchesFailed, 3u);
-        EXPECT_EQ(threads.droppedCompletions, 2u);
-        EXPECT_EQ(threads.expiredSamples, 2u);
+        EXPECT_EQ(reference.statuses, expected);
+        EXPECT_EQ(reference.completedOk, tracker ? 0u : 3u);
+        EXPECT_EQ(reference.completedDegraded, 0u);
+        EXPECT_EQ(reference.completedShed, 0u);
+        EXPECT_EQ(reference.completedTimeout, tracker ? 0u : 2u);
+        EXPECT_EQ(reference.completedFailed, tracker ? 0u : 4u);
+        EXPECT_EQ(reference.batchesFailed, 3u);
+        EXPECT_EQ(reference.droppedCompletions, 2u);
+        EXPECT_EQ(reference.expiredSamples, 2u);
         // Every dispatched sample waited in queue: all but the expired.
-        EXPECT_EQ(threads.timeInQueueCount, 9u);
+        EXPECT_EQ(reference.timeInQueueCount, 9u);
 
-        expectSameOutcome(runScript(PoolKind::Events, tracker), threads,
+        expectSameOutcome(runScript(PoolKind::Events, tracker), reference,
                           "EventWorkerPool");
-        expectSameOutcome(runScript(PoolKind::OneShard, tracker), threads,
-                          "ShardedWorkerPool, 1 shard");
         expectSameOutcome(runScript(PoolKind::TwoShards, tracker),
-                          threads, "ShardedWorkerPool, 2 shards");
+                          reference, "ShardedWorkerPool, 2 shards");
     }
 }
 

@@ -20,6 +20,7 @@
 #include "report/serving_report.h"
 #include "serving/batcher.h"
 #include "serving/serving_sut.h"
+#include "serving/shard.h"
 #include "serving/worker_pool.h"
 #include "sim/real_executor.h"
 #include "sim/virtual_executor.h"
@@ -272,12 +273,15 @@ TEST(DynamicBatcher, TimeoutFlushUnderRealExecutor)
 
 // ------------------------------------------------------ worker pools
 
-TEST(ThreadWorkerPool, BackpressureRejectsWhenQueueFull)
+TEST(ShardedWorkerPool, BackpressureRejectsWhenQueueFull)
 {
     sim::RealExecutor ex;
     GateInference inference;
     ServingStats stats;
-    ThreadWorkerPool pool(ex, inference, stats, 1, 1);
+    ShardOptions options;  // one worker, as Threads mode builds it
+    options.shards = 1;
+    options.queueCapacityBatches = 1;
+    ShardedWorkerPool pool(ex, inference, stats, options);
     RecordingDelegate delegate;
 
     Batch first;

@@ -1,11 +1,12 @@
 /**
  * @file
- * Tests for the sharded serving runtime: the lock-free MPSC
+ * Tests for the threaded serving runtime: the lock-free MPSC
  * completion ring (fill/drain/wraparound, concurrent publish/drain),
- * hash routing stability, idle-only work stealing, the zero-mutex
- * fast-path contract (via LockProbe), ring-full fallback losslessness,
- * and end-to-end sharded runs through ServingSut and the multi-tenant
- * platform.
+ * hash routing stability, idle-only work stealing, the untimed idle
+ * park of a pool with nothing to steal, the drain role's hand-off,
+ * the zero-mutex fast-path contract (via LockProbe), ring-full
+ * fallback losslessness, and end-to-end runs through ServingSut and
+ * the multi-tenant platform.
  */
 
 #include <gtest/gtest.h>
@@ -171,6 +172,69 @@ makeBatch(uint64_t first_id, size_t samples,
     }
     return batch;
 }
+
+/**
+ * Holds its first delivery — and with it the drain role — until the
+ * inference has run @p hold_for batches, then 20 ms more, so records
+ * published meanwhile find the role taken.
+ */
+class HoldFirstDelegate : public CountingDelegate
+{
+  public:
+    HoldFirstDelegate(const FakeInference &inference, uint64_t hold_for)
+        : inference_(inference), holdFor_(hold_for)
+    {
+    }
+
+    void
+    querySamplesComplete(
+        const std::vector<loadgen::QuerySampleResponse> &responses)
+        override
+    {
+        if (!holding_.exchange(true)) {
+            const auto give_up =
+                std::chrono::steady_clock::now() + std::chrono::seconds(5);
+            while (inference_.batches() < holdFor_ &&
+                   std::chrono::steady_clock::now() < give_up) {
+                std::this_thread::sleep_for(std::chrono::microseconds(100));
+            }
+            std::this_thread::sleep_for(std::chrono::milliseconds(20));
+            released_.store(std::chrono::steady_clock::now());
+            returned_.store(true);
+        }
+        CountingDelegate::querySamplesComplete(responses);
+    }
+
+    bool holding() const { return holding_.load(); }
+    bool returned() const { return returned_.load(); }
+    std::chrono::steady_clock::time_point
+    released() const
+    {
+        return released_.load();
+    }
+
+  private:
+    const FakeInference &inference_;
+    const uint64_t holdFor_;
+    std::atomic<bool> holding_{false};
+    std::atomic<bool> returned_{false};
+    std::atomic<std::chrono::steady_clock::time_point> released_{};
+};
+
+/** A demand pull that never finds anything, counting its calls. */
+struct CountingPull
+{
+    std::atomic<uint64_t> calls{0};
+
+    WorkerPool::PullFn
+    fn()
+    {
+        return [this](size_t) {
+            calls.fetch_add(1);
+            return false;
+        };
+    }
+};
 
 void
 awaitTotal(const CountingDelegate &delegate, uint64_t expected)
@@ -375,6 +439,72 @@ TEST(ShardedWorkerPool, StealsOnlyWhenIdle)
     }
 }
 
+TEST(ShardedWorkerPool, OneShardIdleWorkersParkUntilWork)
+{
+    // With no other shard to steal from, an idle worker pulls once and
+    // then parks until work or close arrives. A timed park (200 us)
+    // would pull about 250 times per worker here.
+    sim::RealExecutor executor;
+    FakeInference inference;
+    ServingStats stats;
+    CountingPull pull;
+
+    ShardOptions options;
+    options.shards = 1;
+    options.workersPerShard = 2;
+    ShardedWorkerPool pool(executor, inference, stats, options, pull.fn());
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    const uint64_t idle_pulls = pull.calls.load();
+    pool.shutdown();
+
+    EXPECT_LE(idle_pulls, 2u * 2u);
+}
+
+TEST(ShardedWorkerPool, DrainRoleHandsOffWithoutFurtherPublishes)
+{
+    // Shard 1's worker takes the drain role for the first record and
+    // holds it in the delivery, inside its sweep of ring 1. Three
+    // batches then complete on shard 0 (no stealing, so their records
+    // land in ring 0, which this sweep has passed) and find the role
+    // taken. Only the holder's re-check after handing the role back
+    // can deliver them: no later submit and no shutdown() comes to
+    // sweep them up.
+    sim::RealExecutor executor;
+    FakeInference inference;
+    ServingStats stats;
+    HoldFirstDelegate delegate(inference, 4);
+
+    ShardOptions options;
+    options.shards = 2;
+    options.workersPerShard = 2;
+    options.queueCapacityBatches = 0;
+    options.stealWhenIdle = false;
+    ShardedWorkerPool pool(executor, inference, stats, options);
+
+    Batch first = makeBatch(0, 1, delegate);
+    ASSERT_TRUE(pool.submitTo(1, first));
+    const auto give_up =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (!delegate.holding() &&
+           std::chrono::steady_clock::now() < give_up) {
+        std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+    ASSERT_TRUE(delegate.holding());
+    for (uint64_t b = 1; b <= 3; ++b) {
+        Batch batch = makeBatch(b, 1, delegate);
+        ASSERT_TRUE(pool.submitTo(0, batch));
+    }
+
+    awaitTotal(delegate, 4);
+    const auto delivered = std::chrono::steady_clock::now();
+    ASSERT_TRUE(delegate.returned());
+    EXPECT_EQ(delegate.total(), 4u);
+    EXPECT_LT(delivered - delegate.released(),
+              std::chrono::milliseconds(100));
+    pool.shutdown();
+    EXPECT_EQ(stats.snapshot().completedOk, 4u);
+}
+
 TEST(ShardedWorkerPool, FastPathTakesNoLocks)
 {
     // The tentpole contract: the worker path from runBatch returning
@@ -466,41 +596,48 @@ TEST(ShardedWorkerPool, ExpiredSamplesShedAtDispatchThroughRing)
 
 TEST(ServingSutSharded, EndToEndCompletesEverything)
 {
-    sim::RealExecutor executor;
-    FakeInference inference;
-    CountingDelegate delegate;
+    // One shard is Threads mode's default: it runs on the same pool,
+    // with the same zero-lock fast path.
+    for (const int64_t shards : {1, 2}) {
+        SCOPED_TRACE(shards);
+        sim::RealExecutor executor;
+        FakeInference inference;
+        CountingDelegate delegate;
 
-    ServingOptions options;
-    options.shards = 2;
-    options.workers = 2;
-    options.maxBatch = 4;
-    options.batchTimeoutNs = 0;  // demand dispatch
-    options.queueCapacityBatches = 0;
-    ServingSut sut(executor, inference, options);
-    EXPECT_EQ(sut.resolvedMode(), WorkerMode::Threads);
-    EXPECT_EQ(sut.shardCount(), 2u);
-    ASSERT_NE(sut.shardedPool(), nullptr);
+        ServingOptions options;
+        options.shards = shards;
+        options.workers = 2;
+        options.maxBatch = 4;
+        options.batchTimeoutNs = 0;  // demand dispatch
+        options.queueCapacityBatches = 0;
+        ServingSut sut(executor, inference, options);
+        EXPECT_EQ(sut.resolvedMode(), WorkerMode::Threads);
+        EXPECT_EQ(sut.shardCount(), static_cast<size_t>(shards));
+        ASSERT_NE(sut.shardedPool(), nullptr);
 
-    constexpr uint64_t kQueries = 100;
-    constexpr size_t kPerQuery = 4;
-    for (uint64_t q = 0; q < kQueries; ++q) {
-        std::vector<loadgen::QuerySample> samples;
-        for (size_t i = 0; i < kPerQuery; ++i) {
-            const uint64_t id = q * kPerQuery + i;
-            samples.push_back({id, id});
+        constexpr uint64_t kQueries = 100;
+        constexpr size_t kPerQuery = 4;
+        for (uint64_t q = 0; q < kQueries; ++q) {
+            std::vector<loadgen::QuerySample> samples;
+            for (size_t i = 0; i < kPerQuery; ++i) {
+                const uint64_t id = q * kPerQuery + i;
+                samples.push_back({id, id});
+            }
+            sut.issueQuery(samples, delegate);
         }
-        sut.issueQuery(samples, delegate);
-    }
-    sut.flushQueries();
-    awaitTotal(delegate, kQueries * kPerQuery);
-    sut.shutdown();
+        sut.flushQueries();
+        awaitTotal(delegate, kQueries * kPerQuery);
+        sut.shutdown();
 
-    EXPECT_EQ(delegate.total(), kQueries * kPerQuery);
-    EXPECT_EQ(delegate.ok(), kQueries * kPerQuery);
-    const StatsSnapshot snap = sut.stats();
-    EXPECT_EQ(snap.samplesIssued, kQueries * kPerQuery);
-    EXPECT_EQ(snap.completedOk, kQueries * kPerQuery);
-    EXPECT_EQ(sut.shardedPool()->fastPathLockAcquisitions(), 0u);
+        EXPECT_EQ(delegate.total(), kQueries * kPerQuery);
+        EXPECT_EQ(delegate.ok(), kQueries * kPerQuery);
+        const StatsSnapshot snap = sut.stats();
+        EXPECT_EQ(snap.samplesIssued, kQueries * kPerQuery);
+        EXPECT_EQ(snap.completedOk, kQueries * kPerQuery);
+        // The gauge counts shards only when there are several.
+        EXPECT_EQ(snap.activeShards, shards > 1 ? shards : 0);
+        EXPECT_EQ(sut.shardedPool()->fastPathLockAcquisitions(), 0u);
+    }
 }
 
 TEST(ServingSutSharded, EventsModeResolvesToOneShard)
